@@ -36,6 +36,7 @@ from .bijections import (
     is_separating,
     monotone_direction,
     proper_witness,
+    satisfies_crown_criterion,
 )
 from .chains import (
     ChainClass,

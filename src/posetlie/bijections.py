@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import BoundExceeded, PreconditionError, WellDefinednessError
@@ -203,9 +202,31 @@ def _steps_of_walk(poset, walk):
     return tuple(steps)
 
 
-@lru_cache(maxsize=None)
+def _cached_steps(poset, key, walks):
+    """Signed steps of each walk from walks(), kept on the poset instance."""
+    memo = poset.memo
+    if key not in memo:
+        memo[key] = tuple(_steps_of_walk(poset, walk) for walk in walks())
+    return memo[key]
+
+
+def _basis_steps(poset):
+    return _cached_steps(poset, "cycle_basis", lambda: poset.cycle_basis)
+
+
 def _crown_steps(poset):
-    return tuple(_steps_of_walk(poset, c.cycle()) for c in weak_crowns(poset))
+    return _cached_steps(
+        poset, "weak_crowns", lambda: (c.cycle() for c in weak_crowns(poset))
+    )
+
+
+def _semiwalk_steps(poset, max_length):
+    from .poset import closed_semiwalks
+
+    return _cached_steps(
+        poset, ("closed_semiwalks", max_length),
+        lambda: closed_semiwalks(poset, max_length),
+    )
 
 
 def _balanced_on_steps(poset, inverse_perm, steps_lists):
@@ -236,23 +257,28 @@ def _balanced_on_steps(poset, inverse_perm, steps_lists):
 
 
 def is_admissible(poset, theta):
-    """Whether the counting identity holds on every weak crown of the poset.
+    """Whether the counting identity holds on every closed semiwalk.
 
-    Canonical crown representatives suffice: the identity is invariant under
-    cyclic shifts and orientation reversal of the cycle.
+    The identity is linear in a walk's signed step counts, and the
+    fundamental cycles of the comparability graph span the integer cycle
+    space, so checking it on ``poset.cycle_basis`` suffices.
+    """
+    if not in_M(poset, theta):
+        raise PreconditionError("bijection is not monotone on maximal chains")
+    return _balanced_on_steps(poset, theta.inverse().perm, _basis_steps(poset))
+
+
+def satisfies_crown_criterion(poset, theta):
+    """The paper's criterion: the counting identity on every weak crown.
+
+    A cross-check of is_admissible; it lists every weak crown, so it is only
+    used by the tests and the verification harness.  Canonical crown
+    representatives suffice: the identity is invariant under cyclic shifts
+    and orientation reversal of the cycle.
     """
     if not in_M(poset, theta):
         raise PreconditionError("bijection is not monotone on maximal chains")
     return _balanced_on_steps(poset, theta.inverse().perm, _crown_steps(poset))
-
-
-@lru_cache(maxsize=None)
-def _semiwalk_steps(poset, max_length):
-    from .poset import closed_semiwalks
-
-    return tuple(
-        _steps_of_walk(poset, walk) for walk in closed_semiwalks(poset, max_length)
-    )
 
 
 def is_admissible_oracle(poset, theta, max_length):
@@ -431,14 +457,14 @@ def _scan_partition(args):
     Permutations are read as the inverse of the candidate bijection, which
     lets the balance check skip inverting each one.
     """
-    n, size, crown_steps, pairs, first = args
+    n, size, cycle_steps, pairs, first = args
     acc = [0] * n
     rest = [v for v in range(size) if v != first]
     survivors = []
     for tail in itertools.permutations(rest):
         p = (first,) + tail
         ok = True
-        for steps in crown_steps:
+        for steps in cycle_steps:
             for b, sign in steps:
                 u, v = pairs[p[b]]
                 acc[u] += sign
@@ -459,11 +485,11 @@ def _scan_partition(args):
 def _scan_admissible_raw(poset, bound, jobs):
     _check_bound(poset, bound)
     size = len(poset.strict_pairs)
-    crown_steps = _crown_steps(poset)
-    if not crown_steps:
+    cycle_steps = _basis_steps(poset)
+    if not cycle_steps:
         return [EdgeBijection(p) for p in itertools.permutations(range(size))]
     tasks = [
-        (poset.n, size, crown_steps, poset.strict_pairs, first)
+        (poset.n, size, cycle_steps, poset.strict_pairs, first)
         for first in range(size)
     ]
     if jobs > 1 and size > 1:
@@ -486,11 +512,11 @@ def enumerate_AM(poset, bound=DEFAULT_BOUND, jobs=1):
     """All admissible monotone bijections, in canonical order."""
     if poset.length <= 1:
         return _scan_admissible_raw(poset, bound, jobs)
-    inv_steps = _crown_steps(poset)
+    cycle_steps = _basis_steps(poset)
     out = [
         theta
         for theta in enumerate_M(poset, bound)
-        if _balanced_on_steps(poset, theta.inverse().perm, inv_steps)
+        if _balanced_on_steps(poset, theta.inverse().perm, cycle_steps)
     ]
     out.sort()
     return out

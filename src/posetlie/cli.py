@@ -34,14 +34,31 @@ def _load_poset(args):
     raise InvalidParameter("need --family or --file")
 
 
+def _int_at_least(minimum):
+    """An argparse type for integers >= minimum; anything else is exit 2."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid integer %r" % text) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                "must be at least %d, got %d" % (minimum, value)
+            )
+        return value
+
+    return parse
+
+
 def _add_source_flags(sub):
     sub.add_argument("--family", help="family selector, e.g. crown:3 or kmn:2x3")
     sub.add_argument("--file", help="path to a poset v1 file")
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--bound", type=int, default=bij.DEFAULT_BOUND,
+    sub.add_argument("--bound", type=_int_at_least(0), default=bij.DEFAULT_BOUND,
                      help="largest |B| exhaustive sweeps may attempt")
     sub.add_argument("--field", default="q", help="q or fp:<prime>")
-    sub.add_argument("--jobs", type=int, default=1)
+    sub.add_argument("--jobs", type=_int_at_least(1), default=1)
 
 
 def cmd_info(args):

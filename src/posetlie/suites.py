@@ -159,7 +159,8 @@ def crownless(jobs=1):
 
 
 def example20_block(jobs=1):
-    """The 20-element poset: monotone but inadmissible class swap."""
+    """The 20-element poset: monotone but inadmissible class swap, and an
+    admissible bijection that is not proper."""
     poset = fam.example20()
     theta = fam.example20_bijection(poset)
     out = [
@@ -192,6 +193,21 @@ def example20_block(jobs=1):
     except ExtractionError:
         extraction_failed = True
     out.append(_check("example20_extraction_fails", extraction_failed))
+    verdict = chn.decide_all_proper(poset, bound=len(poset.strict_pairs))
+    witness = verdict.counterexample
+    out.append(
+        _check(
+            "example20_not_all_proper",
+            not verdict.all_proper
+            and verdict.am_order == 256
+            and verdict.p_order == 64
+            and witness is not None
+            and bij.satisfies_crown_criterion(poset, witness)
+            and bij.proper_witness(poset, witness) is None,
+            "|AM| = %d > |P| = %d, witness satisfies the crown criterion and "
+            "is not proper" % (verdict.am_order, verdict.p_order),
+        )
+    )
     return out
 
 
@@ -234,14 +250,21 @@ def example6_block(jobs=1):
 
 
 def oracle_equivalence(jobs=1):
-    """Crown-based admissibility equals the semiwalk oracle at length 8."""
+    """The cycle-basis check, the crown criterion and the semiwalk oracle at
+    length 8 agree on every monotone bijection."""
     out = []
     for name, poset in _small_suite(6):
         mismatches = sum(
             1
             for theta in bij.enumerate_M(poset)
-            if bij.is_admissible(poset, theta)
-            != bij.is_admissible_oracle(poset, theta, 8)
+            if len(
+                {
+                    bij.is_admissible(poset, theta),
+                    bij.satisfies_crown_criterion(poset, theta),
+                    bij.is_admissible_oracle(poset, theta, 8),
+                }
+            )
+            != 1
         )
         out.append(
             _check("oracle_agreement_%s" % name.replace(":", "_"), mismatches == 0)

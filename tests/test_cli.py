@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from posetlie.cli import main
 
 POSET_FILE = """\
@@ -134,3 +136,20 @@ def test_prime_field_flag_accepted(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["failed"] == 0
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--bound", "-1"], ["--jobs", "0"], ["--jobs", "-3"], ["--bound", "x"]],
+    ids=["bound-negative", "jobs-zero", "jobs-negative", "bound-not-integer"],
+)
+def test_invalid_integer_flags_are_usage_errors(capsys, flags):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["decide", "--family", "crown:3"] + flags)
+    assert exit_info.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+
+
+def test_smallest_valid_integer_flags_are_accepted(capsys):
+    assert main(["decide", "--family", "crown:2", "--jobs", "1"]) == 0
+    assert main(["decide", "--family", "crown:2", "--bound", "0"]) == 3

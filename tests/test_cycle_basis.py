@@ -1,0 +1,151 @@
+"""Admissibility on the fundamental-cycle basis, against the paper's crown
+criterion, and the lifetime of the per-poset step caches."""
+
+import gc
+import itertools
+import random
+import weakref
+
+import pytest
+
+from posetlie import (
+    EdgeBijection,
+    Poset,
+    decide_all_proper,
+    enumerate_AM,
+    enumerate_M,
+    is_admissible,
+    is_admissible_oracle,
+    satisfies_crown_criterion,
+)
+from posetlie.errors import DisconnectedError
+from posetlie.families import from_selector
+
+FAMILIES = [
+    "crown:2", "crown:3", "crown:4", "kmn:2x3", "kmn:2x4", "example:6",
+    "fence:5", "fence:6", "chain:4", "star:4",
+]
+
+
+def three_level(rng, width=3, fan=2):
+    """A random connected poset of length 2: three levels of `width`
+    elements, each element above the bottom level covering `fan` elements of
+    the level below."""
+    names = ["%s%d" % (level, i) for level in "abc" for i in range(width)]
+    while True:
+        covers = [
+            (x, width * level + i)
+            for level in (1, 2)
+            for i in range(width)
+            for x in rng.sample(range(width * (level - 1), width * level), fan)
+        ]
+        try:
+            poset = Poset.from_relations(names, covers)
+        except DisconnectedError:
+            continue
+        if poset.length == 2:
+            return poset
+
+
+def bipartite(rng, lows, highs, pairs):
+    """A random connected length-one poset with exactly `pairs` strict pairs."""
+    names = ["x%d" % i for i in range(lows)] + ["y%d" % i for i in range(highs)]
+    every = [(i, lows + j) for i in range(lows) for j in range(highs)]
+    while True:
+        try:
+            return Poset.from_relations(names, rng.sample(every, pairs))
+        except DisconnectedError:
+            continue
+
+
+def assert_basis_matches_crowns(poset, thetas):
+    for theta in thetas:
+        assert is_admissible(poset, theta) == satisfies_crown_criterion(
+            poset, theta
+        ), theta.perm
+
+
+class TestBasisShape:
+    @pytest.mark.parametrize("selector", FAMILIES + ["example:20", "kmn:3x3"])
+    def test_one_closed_walk_per_pair_outside_the_tree(self, selector):
+        poset = from_selector(selector)
+        basis = poset.cycle_basis
+        assert len(basis) == len(poset.strict_pairs) - poset.n + 1
+        for walk in basis:
+            assert walk[0] == walk[-1] and len(walk) >= 4
+            assert len(set(walk[:-1])) == len(walk) - 1
+            for u, v in zip(walk, walk[1:]):
+                assert poset.lt(u, v) or poset.lt(v, u)
+        assert [len(w) for w in basis] == sorted(len(w) for w in basis)
+
+    def test_basis_is_built_lazily(self):
+        poset = from_selector("example:20")
+        assert "cycle_basis" not in vars(poset)
+        assert len(poset.cycle_basis) == 41
+        assert "cycle_basis" in vars(poset)
+
+    def test_trees_have_an_empty_basis(self):
+        for selector in ("fence:6", "star:5", "chain:2", "kmn:1x4"):
+            assert from_selector(selector).cycle_basis == ()
+
+
+class TestBasisAgreesWithCrownCriterion:
+    @pytest.mark.parametrize("selector", FAMILIES)
+    def test_every_monotone_bijection_of_the_families(self, selector):
+        poset = from_selector(selector)
+        assert_basis_matches_crowns(
+            poset, enumerate_M(poset, bound=len(poset.strict_pairs))
+        )
+
+    def test_example20_admissible_group_order(self):
+        assert len(enumerate_AM(from_selector("example:20"), bound=60)) == 256
+
+    def test_seeded_three_level_posets(self):
+        rng = random.Random(2024)
+        for _ in range(40):
+            poset = three_level(rng)
+            assert_basis_matches_crowns(
+                poset, enumerate_M(poset, bound=len(poset.strict_pairs))
+            )
+
+    def test_all_of_the_symmetric_group_on_bipartite_posets(self):
+        rng = random.Random(7)
+        for _ in range(3):
+            poset = bipartite(rng, 3, 4, 7)
+            thetas = [
+                EdgeBijection(perm) for perm in itertools.permutations(range(7))
+            ]
+            assert_basis_matches_crowns(poset, thetas)
+            scanned = {t.perm for t in enumerate_AM(poset)}
+            assert scanned == {
+                t.perm for t in thetas if satisfies_crown_criterion(poset, t)
+            }
+
+
+def random_posets(rng, count, n=6, max_pairs=7):
+    """`count` distinct connected posets on n elements with few strict pairs."""
+    found = []
+    while len(found) < count:
+        pairs = [
+            (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4
+        ]
+        try:
+            poset = Poset.from_relations(["e%d" % i for i in range(n)], pairs)
+        except DisconnectedError:
+            continue
+        if len(poset.strict_pairs) <= max_pairs and poset not in found:
+            found.append(poset)
+    return found
+
+
+def test_step_caches_die_with_their_posets():
+    posets = random_posets(random.Random(99), 40)
+    for poset in posets:
+        decide_all_proper(poset)
+        identity = EdgeBijection.identity(len(poset.strict_pairs))
+        assert satisfies_crown_criterion(poset, identity)
+        assert is_admissible_oracle(poset, identity, 4)
+    refs = [weakref.ref(poset) for poset in posets]
+    del poset, posets
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
