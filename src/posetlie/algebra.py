@@ -7,8 +7,8 @@ element).  Everything is a pure value: operations return fresh objects.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import linalg
 from .errors import (
@@ -243,11 +243,21 @@ class LinearMapOnIA:
 # -- subspaces ---------------------------------------------------------------
 
 
+def _per_poset(build):
+    """Cache build(poset, field) on the poset instance, keyed by (name, field)."""
+
+    @functools.wraps(build)
+    def cached(poset, field):
+        return poset.memo((build.__name__, field), lambda: build(poset, field))
+
+    return cached
+
+
 def _basis_elements(poset, field):
     return [IncidenceElement.basis(poset, x, y, field) for (x, y) in poset.all_pairs]
 
 
-@lru_cache(maxsize=None)
+@_per_poset
 def _commutator_subspace_cached(poset, field):
     elements = _basis_elements(poset, field)
     rows = []
@@ -268,7 +278,7 @@ def commutator_subspace(poset, field=RATIONALS):
     return list(basis)
 
 
-@lru_cache(maxsize=None)
+@_per_poset
 def _center_cached(poset, field):
     elements = _basis_elements(poset, field)
     dim = len(elements)
@@ -452,7 +462,7 @@ def check_proper_decomposition(tau, phi):
     return nu
 
 
-@lru_cache(maxsize=None)
+@_per_poset
 def _center_span(poset, field):
     vectors = [z.to_vector() for z in _center_cached(poset, field)]
     basis, pivots = linalg.row_reduce(vectors)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -17,7 +18,7 @@ from .errors import BoundExceeded, PreconditionError, WellDefinednessError
 from .fields import RATIONALS
 from .poset import MapKind, weak_crowns
 
-DEFAULT_BOUND = 9  # largest |B| an exhaustive S(B) sweep will attempt
+DEFAULT_BOUND = 9  # largest |B| the exhaustive search will attempt
 
 
 class Direction(enum.Enum):
@@ -204,10 +205,7 @@ def _steps_of_walk(poset, walk):
 
 def _cached_steps(poset, key, walks):
     """Signed steps of each walk from walks(), kept on the poset instance."""
-    memo = poset.memo
-    if key not in memo:
-        memo[key] = tuple(_steps_of_walk(poset, walk) for walk in walks())
-    return memo[key]
+    return poset.memo(key, lambda: tuple(_steps_of_walk(poset, w) for w in walks()))
 
 
 def _basis_steps(poset):
@@ -238,20 +236,13 @@ def _balanced_on_steps(poset, inverse_perm, steps_lists):
     zero over the steps.
     """
     pairs = poset.strict_pairs
-    acc = [0] * poset.n
     for steps in steps_lists:
+        acc = [0] * poset.n
         for b, sign in steps:
             p, q = pairs[inverse_perm[b]]
             acc[p] += sign
             acc[q] -= sign
-        ok = True
-        for b, _ in steps:
-            p, q = pairs[inverse_perm[b]]
-            if acc[p] or acc[q]:
-                ok = False
-            acc[p] = 0
-            acc[q] = 0
-        if not ok:
+        if any(acc):
             return False
     return True
 
@@ -284,29 +275,14 @@ def satisfies_crown_criterion(poset, theta):
 def is_admissible_oracle(poset, theta, max_length):
     """Independent cross-check over every closed semiwalk up to max_length.
 
-    Verifies the full four-count identity per element, not just crowns.
+    Checks the identity at every element on every such walk, not just on
+    the basis or the crowns.
     """
     if not in_M(poset, theta):
         raise PreconditionError("bijection is not monotone on maximal chains")
-    pairs = poset.strict_pairs
-    inv = theta.inverse().perm
-    s_acc = [0] * poset.n
-    t_acc = [0] * poset.n
-    for steps in _semiwalk_steps(poset, max_length):
-        for b, sign in steps:
-            p, q = pairs[inv[b]]
-            s_acc[p] += sign
-            t_acc[q] += sign
-        ok = True
-        for b, _ in steps:
-            p, q = pairs[inv[b]]
-            if s_acc[p] != t_acc[p] or s_acc[q] != t_acc[q]:
-                ok = False
-            s_acc[p] = t_acc[p] = 0
-            s_acc[q] = t_acc[q] = 0
-        if not ok:
-            return False
-    return True
+    return _balanced_on_steps(
+        poset, theta.inverse().perm, _semiwalk_steps(poset, max_length)
+    )
 
 
 # -- properness ----------------------------------------------------------------
@@ -372,154 +348,128 @@ def _check_bound(poset, bound):
         )
 
 
-def _chain_assignment_perms(poset):
-    """Monotone bijections by assigning each maximal chain an image and a
-    direction, propagating pair images and rejecting conflicts."""
-    chains = poset.maximal_chains
+def _search(poset, walks):
+    """The monotone bijections whose inverse balances on every walk, as
+    sorted raw tuples.
+
+    The search builds p, the image of each pair: every maximal chain picks
+    a target chain of its size and a direction, which fixes the images of
+    its pairs, and clashing choices are cut.  The identity on a walk reads
+    only the images under p of the walk's own pairs, so a walk is checked
+    at the first chain after which all of its pairs have one; chains are
+    taken in the order of the first walk they lie on.  A leaf records pre,
+    the inverse of p: M is a group, so the leaves still run over M, and p
+    is exactly the inverse the identity needs.
+
+    A pair of a two-element chain lies on no other chain, so these chains
+    only permute the two-element targets among themselves.  The trailing
+    ones after the last but one chain that completes a walk are therefore
+    swept by itertools.permutations and filtered by the walks left, not
+    searched chain by chain: a crown's one walk, or a tree's none, makes
+    that the whole search.
+    """
+    size = len(poset.strict_pairs)
+    if size < 2:  # operator.itemgetter below needs two indices
+        return [tuple(range(size))]
     index = poset.pair_index
+    walk_pairs = [{b for b, _ in steps} for steps in walks]
+
+    def pairs_of(chain):
+        return [index[pair] for pair in itertools.combinations(chain, 2)]
+
+    def first_walk(chain):
+        on = set(pairs_of(chain))
+        return next((w for w, b in enumerate(walk_pairs) if b & on), len(walks))
+
     by_size = {}
-    for c in chains:
+    for c in poset.maximal_chains:
         by_size.setdefault(len(c), []).append(c)
+    chains = sorted(poset.maximal_chains, key=lambda c: (first_walk(c), len(c) == 2))
+    # per chain: its pairs placed by earlier chains, its new pairs, their
+    # images under each option, and the walks that it completes
+    levels = []
+    placed = set()
+    checked = set()
+    for c in chains:
+        sources = pairs_of(c)
+        options = []
+        for target in by_size[len(c)]:
+            options.append(pairs_of(target))
+            if len(c) > 2:
+                flipped = target[::-1]
+                options.append([
+                    index[(flipped[j], flipped[i])]
+                    for i, j in itertools.combinations(range(len(c)), 2)
+                ])
+        old = [k for k, b in enumerate(sources) if b in placed]
+        new = [k for k, b in enumerate(sources) if b not in placed]
+        placed.update(sources)
+        done = [w for w, b in enumerate(walk_pairs) if w not in checked and b <= placed]
+        checked.update(done)
+        levels.append((
+            tuple(sources[k] for k in old),
+            [sources[k] for k in new],
+            [(tuple(dsts[k] for k in old), [dsts[k] for k in new]) for dsts in options],
+            [walks[w] for w in done],
+        ))
+    checking = [k for k, level in enumerate(levels) if level[3]]
+    longer = [k for k, c in enumerate(chains) if len(c) > 2]
+    swept = 1 + max(checking[-2:-1] + longer[-1:], default=-1)
+    tail = [index[c] for c in chains[swept:]]
+    final = [steps for level in levels[swept:] for steps in level[3]]
 
-    def pair_images(chain, target, direction):
-        m = len(chain)
-        out = []
-        for i in range(m):
-            for j in range(i + 1, m):
-                src = index[(chain[i], chain[j])]
-                if direction == Direction.DECREASING:
-                    dst = index[(target[m - 1 - j], target[m - 1 - i])]
-                else:
-                    dst = index[(target[i], target[j])]
-                out.append((src, dst))
-        return out
+    image = [-1] * size  # entries past the current chain are stale
+    pre = [-1] * size
+    out = []
 
-    image = {}
-    used = set()
-    results = []
+    def sweep():
+        row = tuple(pre)
+        slots = [d for d in range(size) if row[d] < 0]
+        extra = iter(range(size, size + len(tail)))
+        pick = operator.itemgetter(*[d if v >= 0 else next(extra) for d, v in enumerate(row)])
 
-    def assign(k):
-        if k == len(chains):
-            results.append(tuple(image[b] for b in range(len(poset.strict_pairs))))
+        def balanced(leaf):
+            for dst, src in zip(slots, leaf[size:]):
+                image[src] = dst
+            return _balanced_on_steps(poset, image, final)
+
+        leaves = map(row.__add__, itertools.permutations(tail))
+        out.extend(map(pick, filter(balanced, leaves) if final else leaves))
+
+    def place(k):
+        if k == swept:
+            sweep()
             return
-        chain = chains[k]
-        directions = (
-            (Direction.INCREASING,)
-            if len(chain) == 2
-            else (Direction.INCREASING, Direction.DECREASING)
-        )
-        for target in by_size[len(chain)]:
-            for direction in directions:
-                updates = []
-                ok = True
-                for src, dst in pair_images(chain, target, direction):
-                    if src in image:
-                        if image[src] != dst:
-                            ok = False
-                            break
-                    elif dst in used:
-                        ok = False
-                        break
-                    else:
-                        updates.append((src, dst))
-                        image[src] = dst
-                        used.add(dst)
-                if ok:
-                    assign(k + 1)
-                for src, dst in updates:
-                    del image[src]
-                    used.discard(dst)
+        old, new, options, checks = levels[k]
+        for old_images, new_images in options:
+            if (
+                tuple(map(image.__getitem__, old)) != old_images
+                or max(map(pre.__getitem__, new_images), default=-1) >= 0
+            ):
+                continue
+            for src, dst in zip(new, new_images):
+                image[src] = dst
+                pre[dst] = src
+            if not checks or _balanced_on_steps(poset, image, checks):
+                place(k + 1)
+            for dst in new_images:
+                pre[dst] = -1
 
-    assign(0)
-    results.sort()
-    return results
+    place(0)
+    out.sort()
+    return out
 
 
 def enumerate_M(poset, bound=DEFAULT_BOUND):
-    """All monotone bijections, in canonical order (lazy).
-
-    For length-one posets every bijection is monotone, so the full symmetric
-    group on B is generated directly; otherwise chains are assigned targets
-    and directions by backtracking.
-    """
+    """All monotone bijections, in canonical order (wrapped lazily)."""
     _check_bound(poset, bound)
-    size = len(poset.strict_pairs)
-    if poset.length <= 1:
-        return (
-            EdgeBijection(p) for p in itertools.permutations(range(size))
-        )
-    return (EdgeBijection(p) for p in _chain_assignment_perms(poset))
+    return (EdgeBijection(p) for p in _search(poset, ()))
 
 
-def _scan_partition(args):
-    """Admissibility sweep over the block of S(B) with a fixed first image.
-
-    Permutations are read as the inverse of the candidate bijection, which
-    lets the balance check skip inverting each one.
-    """
-    n, size, cycle_steps, pairs, first = args
-    acc = [0] * n
-    rest = [v for v in range(size) if v != first]
-    survivors = []
-    for tail in itertools.permutations(rest):
-        p = (first,) + tail
-        ok = True
-        for steps in cycle_steps:
-            for b, sign in steps:
-                u, v = pairs[p[b]]
-                acc[u] += sign
-                acc[v] -= sign
-            for b, _ in steps:
-                u, v = pairs[p[b]]
-                if acc[u] or acc[v]:
-                    ok = False
-                acc[u] = 0
-                acc[v] = 0
-            if not ok:
-                break
-        if ok:
-            survivors.append(p)
-    return survivors
-
-
-def _scan_admissible_raw(poset, bound, jobs):
-    _check_bound(poset, bound)
-    size = len(poset.strict_pairs)
-    cycle_steps = _basis_steps(poset)
-    if not cycle_steps:
-        return [EdgeBijection(p) for p in itertools.permutations(range(size))]
-    tasks = [
-        (poset.n, size, cycle_steps, poset.strict_pairs, first)
-        for first in range(size)
-    ]
-    if jobs > 1 and size > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                chunks = list(pool.map(_scan_partition, tasks))
-        except OSError:
-            chunks = [_scan_partition(t) for t in tasks]
-    else:
-        chunks = [_scan_partition(t) for t in tasks]
-    survivors = [p for chunk in chunks for p in chunk]
-    thetas = [EdgeBijection(p).inverse() for p in survivors]
-    thetas.sort()
-    return thetas
-
-
-def enumerate_AM(poset, bound=DEFAULT_BOUND, jobs=1):
+def enumerate_AM(poset, bound=DEFAULT_BOUND):
     """All admissible monotone bijections, in canonical order."""
-    if poset.length <= 1:
-        return _scan_admissible_raw(poset, bound, jobs)
-    cycle_steps = _basis_steps(poset)
-    out = [
-        theta
-        for theta in enumerate_M(poset, bound)
-        if _balanced_on_steps(poset, theta.inverse().perm, cycle_steps)
-    ]
-    out.sort()
-    return out
+    _check_bound(poset, bound)
+    return [EdgeBijection(p) for p in _search(poset, _basis_steps(poset))]
 
 
 # -- compatible sign maps --------------------------------------------------------

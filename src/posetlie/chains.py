@@ -245,14 +245,14 @@ class ProperVerdict:
         }
 
 
-def decide_all_proper(poset, bound=DEFAULT_BOUND, jobs=1):
+def decide_all_proper(poset, bound=DEFAULT_BOUND):
     """Whether every admissible monotone bijection is proper.
 
     Equality of the two groups decides whether every Lie automorphism of the
     incidence algebra is proper; a single chain class is reported as the
     sufficient condition it is.
     """
-    admissible = enumerate_AM(poset, bound, jobs)
+    admissible = enumerate_AM(poset, bound)
     proper = enumerate_P(poset)
     am_set = {t.perm for t in admissible}
     p_set = {t.perm for t in proper}

@@ -34,31 +34,24 @@ def _load_poset(args):
     raise InvalidParameter("need --family or --file")
 
 
-def _int_at_least(minimum):
-    """An argparse type for integers >= minimum; anything else is exit 2."""
-
-    def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError("invalid integer %r" % text) from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(
-                "must be at least %d, got %d" % (minimum, value)
-            )
-        return value
-
-    return parse
+def _non_negative_int(text):
+    """An argparse type for integers >= 0; anything else is exit 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid integer %r" % text) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be at least 0, got %d" % value)
+    return value
 
 
 def _add_source_flags(sub):
     sub.add_argument("--family", help="family selector, e.g. crown:3 or kmn:2x3")
     sub.add_argument("--file", help="path to a poset v1 file")
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--bound", type=_int_at_least(0), default=bij.DEFAULT_BOUND,
-                     help="largest |B| exhaustive sweeps may attempt")
+    sub.add_argument("--bound", type=_non_negative_int, default=bij.DEFAULT_BOUND,
+                     help="largest |B| the exhaustive search may attempt")
     sub.add_argument("--field", default="q", help="q or fp:<prime>")
-    sub.add_argument("--jobs", type=_int_at_least(1), default=1)
 
 
 def cmd_info(args):
@@ -134,7 +127,7 @@ def cmd_enumerate(args):
         elements = list(bij.enumerate_M(poset, bound=args.bound))
         report = {"order": len(elements)}
     elif args.group == "am":
-        elements = bij.enumerate_AM(poset, bound=args.bound, jobs=args.jobs)
+        elements = bij.enumerate_AM(poset, bound=args.bound)
         report = grp.verify_group(elements).to_json()
     else:
         elements = bij.enumerate_P(poset)
@@ -163,7 +156,7 @@ def cmd_enumerate(args):
 
 def cmd_decide(args):
     poset = _load_poset(args)
-    verdict = chn.decide_all_proper(poset, bound=args.bound, jobs=args.jobs)
+    verdict = chn.decide_all_proper(poset, bound=args.bound)
     if args.format == "json":
         print(_dump(verdict.to_json(poset)))
     else:
@@ -189,9 +182,7 @@ def cmd_decide(args):
 
 
 def cmd_verify(args):
-    results = suites.run_suite(
-        args.suite, jobs=args.jobs, field=parse_field_spec(args.field)
-    )
+    results = suites.run_suite(args.suite, field=parse_field_spec(args.field))
     failed = [c for c in results if not c.ok]
     if args.format == "json":
         print(

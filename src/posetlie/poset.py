@@ -328,10 +328,15 @@ class Poset:
         return tuple(cycles)
 
     @cached_property
-    def memo(self):
-        """Per-instance cache for structures other modules derive from this
-        poset; entries live and die with the instance."""
+    def _memo(self):
         return {}
+
+    def memo(self, key, build):
+        """build(), computed once per key and kept on this instance, so the
+        structures other modules derive from the poset live and die with it."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def dual(self):
         """The opposite order on the same elements."""

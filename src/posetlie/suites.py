@@ -39,11 +39,11 @@ def _small_suite(max_basis):
 # -- criterion blocks ----------------------------------------------------------
 
 
-def crown_orders(jobs=1):
+def crown_orders():
     """Group orders on crowns and the dihedral shape of the proper group."""
     out = []
     for n, expected in ((2, 8), (3, 72)):
-        am = bij.enumerate_AM(fam.crown(n), jobs=jobs)
+        am = bij.enumerate_AM(fam.crown(n))
         out.append(
             _check(
                 "am_order_crown_%d" % n,
@@ -71,10 +71,10 @@ def crown_orders(jobs=1):
     return out
 
 
-def crown_dichotomy(jobs=1):
+def crown_dichotomy():
     """All-proper holds on the 2-crown and fails with witness for n = 3, 4."""
     out = []
-    verdict = chn.decide_all_proper(fam.crown(2), jobs=jobs)
+    verdict = chn.decide_all_proper(fam.crown(2))
     out.append(
         _check(
             "all_proper_crown_2",
@@ -84,7 +84,7 @@ def crown_dichotomy(jobs=1):
     )
     for n in (3, 4):
         poset = fam.crown(n)
-        verdict = chn.decide_all_proper(poset, jobs=jobs)
+        verdict = chn.decide_all_proper(poset)
         witness = verdict.counterexample
         good = (
             not verdict.all_proper
@@ -103,11 +103,11 @@ def crown_dichotomy(jobs=1):
     return out
 
 
-def bipartite(jobs=1):
+def bipartite():
     """Complete bipartite posets: every admissible bijection is proper."""
     out = []
     for m, n, expected in ((2, 3, 12), (3, 3, 72)):
-        verdict = chn.decide_all_proper(fam.kmn(m, n), jobs=jobs)
+        verdict = chn.decide_all_proper(fam.kmn(m, n))
         out.append(
             _check(
                 "all_proper_kmn_%dx%d" % (m, n),
@@ -120,7 +120,7 @@ def bipartite(jobs=1):
     return out
 
 
-def crownless(jobs=1):
+def crownless():
     """Length-one crownless posets: the single-extreme criterion."""
     out = []
     for n in (3, 4, 5):
@@ -158,7 +158,7 @@ def crownless(jobs=1):
     return out
 
 
-def example20_block(jobs=1):
+def example20_block():
     """The 20-element poset: monotone but inadmissible class swap, and an
     admissible bijection that is not proper."""
     poset = fam.example20()
@@ -211,7 +211,7 @@ def example20_block(jobs=1):
     return out
 
 
-def example6_block(jobs=1):
+def example6_block():
     """The 6-element poset: two classes, yet every bijection proper."""
     poset = fam.example6()
     classes = chn.chain_classes(poset)
@@ -225,7 +225,7 @@ def example6_block(jobs=1):
             "supports: %s" % (supports,),
         )
     ]
-    admissible = bij.enumerate_AM(poset, jobs=jobs)
+    admissible = bij.enumerate_AM(poset)
     identity = bij.EdgeBijection.identity(len(poset.strict_pairs))
     out.append(
         _check(
@@ -238,7 +238,7 @@ def example6_block(jobs=1):
         _check(
             "example6_all_proper",
             all(bij.proper_witness(poset, t) is not None for t in admissible)
-            and chn.decide_all_proper(poset, jobs=jobs).all_proper
+            and chn.decide_all_proper(poset).all_proper
             and len(classes) == 2,
             "both elements proper despite 2 chain classes",
         )
@@ -249,7 +249,7 @@ def example6_block(jobs=1):
     return out
 
 
-def oracle_equivalence(jobs=1):
+def oracle_equivalence():
     """The cycle-basis check, the crown criterion and the semiwalk oracle at
     length 8 agree on every monotone bijection."""
     out = []
@@ -272,7 +272,7 @@ def oracle_equivalence(jobs=1):
     return out
 
 
-def sigma_block(jobs=1):
+def sigma_block():
     """Every monotone bijection admits the constructed compatible sign map."""
     out = []
     for name, poset in _small_suite(6):
@@ -289,12 +289,12 @@ def sigma_block(jobs=1):
     return out
 
 
-def supports_block(jobs=1):
+def supports_block():
     """Support maps extract and agree with theta for every admissible theta."""
     out = []
     for name, poset in _small_suite(6):
         ok = True
-        for theta in bij.enumerate_AM(poset, jobs=jobs):
+        for theta in bij.enumerate_AM(poset):
             try:
                 maps = chn.support_maps(poset, theta)
             except ExtractionError:
@@ -317,7 +317,7 @@ def supports_block(jobs=1):
     return out
 
 
-def algebra_block(jobs=1, field=RATIONALS):
+def algebra_block(field=RATIONALS):
     """Radical, center and the decomposition checker over every small poset."""
     out = []
     for name, poset in fam.suite():
@@ -365,7 +365,7 @@ def _parity_of_chain(poset, n, chain):
     return "odd" if y - n == x else "even"
 
 
-def properties_block(jobs=1):
+def properties_block():
     """The quantified invariants: chain intersections, identity invariances,
     run collapsing, and the crown parity criterion."""
     out = []
@@ -478,27 +478,20 @@ SUITES = {
 }
 
 
-def _call_block(name, jobs, field):
+def _call_block(name, field):
     if name == "algebra":
-        return algebra_block(jobs, field)
-    return SUITES[name](jobs)
+        return algebra_block(field)
+    return SUITES[name]()
 
 
-def run_suite(name, jobs=1, field=RATIONALS):
+def run_suite(name, field=RATIONALS):
     """Run one named block, or all of them; returns the Check list."""
     if name == "all":
-        names = list(SUITES)
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                chunks = list(pool.map(lambda k: _call_block(k, 1, field), names))
-            return [c for chunk in chunks for c in chunk]
-        return [c for k in names for c in _call_block(k, jobs, field)]
+        return [c for k in SUITES for c in _call_block(k, field)]
     if name not in SUITES:
         from .errors import InvalidParameter
 
         raise InvalidParameter(
             "unknown suite %r (have %s)" % (name, ", ".join(sorted(SUITES)) + ", all")
         )
-    return _call_block(name, jobs, field)
+    return _call_block(name, field)

@@ -98,34 +98,36 @@ def literal_convolution(f, g):
     return IncidenceElement(poset, coeffs, f.field)
 
 
-def brute_monotone(poset, theta):
-    """Literal monotonicity: for each chain search every candidate image."""
+@lru_cache(maxsize=None)
+def _brute_chain_images(poset):
+    """Per maximal chain: its pairs, and every image of them that is
+    literally monotone, increasing or decreasing onto a chain of its size."""
     chains = brute_maximal_chains(poset)
-
-    def th(a, b):
-        return poset.strict_pairs[theta.perm[poset.pair_index[(a, b)]]]
-
+    out = []
     for chain in chains:
         m = len(chain)
-        good = False
+        spots = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        images = set()
         for target in chains:
-            if len(target) != m:
-                continue
-            if all(
-                th(chain[i], chain[j]) == (target[i], target[j])
-                for i in range(m)
-                for j in range(i + 1, m)
-            ):
-                good = True
-            if all(
-                th(chain[i], chain[j]) == (target[m - 1 - j], target[m - 1 - i])
-                for i in range(m)
-                for j in range(i + 1, m)
-            ):
-                good = True
-        if not good:
-            return False
-    return True
+            if len(target) == m:
+                images.add(tuple((target[i], target[j]) for i, j in spots))
+                images.add(
+                    tuple((target[m - 1 - j], target[m - 1 - i]) for i, j in spots)
+                )
+        out.append(([(chain[i], chain[j]) for i, j in spots], images))
+    return out
+
+
+def brute_monotone(poset, theta):
+    """Literal monotonicity: each chain's pairs map onto one candidate image."""
+
+    def th(pair):
+        return poset.strict_pairs[theta.perm[poset.pair_index[pair]]]
+
+    return all(
+        tuple(th(pair) for pair in pairs) in images
+        for pairs, images in _brute_chain_images(poset)
+    )
 
 
 def random_element(poset, rng, density=0.5):

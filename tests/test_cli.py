@@ -140,8 +140,8 @@ def test_prime_field_flag_accepted(capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--bound", "-1"], ["--jobs", "0"], ["--jobs", "-3"], ["--bound", "x"]],
-    ids=["bound-negative", "jobs-zero", "jobs-negative", "bound-not-integer"],
+    [["--bound", "-1"], ["--bound", "x"]],
+    ids=["bound-negative", "bound-not-integer"],
 )
 def test_invalid_integer_flags_are_usage_errors(capsys, flags):
     with pytest.raises(SystemExit) as exit_info:
@@ -151,5 +151,11 @@ def test_invalid_integer_flags_are_usage_errors(capsys, flags):
 
 
 def test_smallest_valid_integer_flags_are_accepted(capsys):
-    assert main(["decide", "--family", "crown:2", "--jobs", "1"]) == 0
     assert main(["decide", "--family", "crown:2", "--bound", "0"]) == 3
+
+
+def test_jobs_flag_is_unrecognized(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["decide", "--family", "crown:3", "--jobs", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err

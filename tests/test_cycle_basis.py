@@ -1,5 +1,5 @@
 """Admissibility on the fundamental-cycle basis, against the paper's crown
-criterion, and the lifetime of the per-poset step caches."""
+criterion, and the lifetime of the per-poset caches."""
 
 import gc
 import itertools
@@ -11,6 +11,8 @@ import pytest
 from posetlie import (
     EdgeBijection,
     Poset,
+    center,
+    commutator_subspace,
     decide_all_proper,
     enumerate_AM,
     enumerate_M,
@@ -145,6 +147,8 @@ def test_step_caches_die_with_their_posets():
         identity = EdgeBijection.identity(len(poset.strict_pairs))
         assert satisfies_crown_criterion(poset, identity)
         assert is_admissible_oracle(poset, identity, 4)
+        assert len(center(poset)) == 1
+        assert len(commutator_subspace(poset)) == len(poset.strict_pairs)
     refs = [weakref.ref(poset) for poset in posets]
     del poset, posets
     gc.collect()
