@@ -40,7 +40,7 @@ class CountStats(NamedTuple):
         return self.s_plus - self.s_minus == self.t_plus - self.t_minus
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True, slots=True)
 class EdgeBijection:
     """A permutation of the canonical strict-pair basis."""
 
@@ -62,9 +62,6 @@ class EdgeBijection:
 
     def apply_pair(self, poset, pair):
         return poset.strict_pairs[self.perm[poset.pair_index[pair]]]
-
-    def __lt__(self, other):
-        return self.perm < other.perm
 
     def to_json(self, poset):
         return [

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import factorial
+from operator import attrgetter, itemgetter
 
 from .bijections import EdgeBijection
 from .errors import NotClosed, StructureMismatch
@@ -11,9 +13,11 @@ from .errors import NotClosed, StructureMismatch
 
 @dataclass(frozen=True)
 class FiniteGroupOnEdges:
-    """A verified group of edge bijections, elements in canonical order."""
+    """A verified group: sorted elements, greedy generators, perm tuples."""
 
     elements: tuple
+    generators: tuple
+    perms: frozenset
 
     @property
     def order(self):
@@ -24,7 +28,7 @@ class FiniteGroupOnEdges:
         return len(self.elements[0].perm)
 
     def __contains__(self, theta):
-        return theta in set(self.elements)
+        return theta.perm in self.perms
 
     def element_order(self, theta):
         identity = EdgeBijection.identity(self.degree)
@@ -36,23 +40,12 @@ class FiniteGroupOnEdges:
         return k
 
     def order_histogram(self):
-        hist = {}
-        for g in self.elements:
-            k = self.element_order(g)
-            hist[k] = hist.get(k, 0) + 1
+        hist = Counter(self.element_order(g) for g in self.elements)
         return dict(sorted(hist.items()))
 
     def generating_set(self):
         """A small generating set, grown greedily in canonical order."""
-        generators = []
-        span = {EdgeBijection.identity(self.degree)}
-        for g in self.elements:
-            if g not in span:
-                generators.append(g)
-                span = generated_subgroup(generators, self.degree)
-                if len(span) == self.order:
-                    break
-        return generators
+        return [EdgeBijection(t) for t in self.generators]
 
     def to_json(self):
         return {
@@ -65,48 +58,56 @@ class FiniteGroupOnEdges:
 
 
 def verify_group(bijections):
-    """Check closure under composition and inverse, and the identity.
+    """Check that the set contains the identity and is closed under composition.
 
-    Raises NotClosed with a witness pair on failure.
+    Then it is a group: g^k is the identity for some k >= 1, so g^(k-1) is the
+    inverse of g.  Elements outside the span of the earlier ones, in canonical
+    order, become generators, and _close forms about |G|*|T| products, not
+    |G|^2.  Raises NotClosed; an escaping product carries its pair (a, t).
     """
-    elements = sorted(set(bijections))
+    elements = sorted(set(bijections), key=attrgetter("perm"))
     if not elements:
         raise NotClosed("empty set is not a group")
     degree = len(elements[0].perm)
     if any(len(g.perm) != degree for g in elements):
         raise NotClosed("mixed permutation degrees")
-    perms = {g.perm for g in elements}
-    if tuple(range(degree)) not in perms:
+    perms = frozenset(g.perm for g in elements)
+    identity = tuple(range(degree))
+    if identity not in perms:
         raise NotClosed("identity missing")
+    span = {identity}
+    generators = []
     for g in elements:
-        if g.inverse().perm not in perms:
-            raise NotClosed("inverse missing", witness=(g, g))
-        for h in elements:
-            if g.compose(h).perm not in perms:
-                raise NotClosed("product escapes the set", witness=(g, h))
-    return FiniteGroupOnEdges(tuple(elements))
+        if g.perm not in span:
+            generators.append(g.perm)
+            _close(span, generators, generators[-1:], perms)
+    return FiniteGroupOnEdges(tuple(elements), tuple(generators), perms)
 
 
-def generated_subgroup(generators, degree):
-    """Closure of a generating set inside the symmetric group on the basis.
+def _close(span, generators, first, within):
+    """Close the perm tuples in span under right multiplication by generators.
 
-    Breadth-first over right multiplication by the generators; in a finite
-    group this reaches inverses too.
+    span is closed under those not in first already, so only span times first,
+    then each new element times every generator, can leave it.  A product
+    a.compose(t) outside within raises NotClosed with the pair (a, t).
     """
-    gens = [g.perm for g in generators]
-    start = tuple(range(degree))
-    seen = {start}
-    frontier = [start]
+    # a generator moves two points or more, so itemgetter(*t) gives a tuple
+    step = [(t, itemgetter(*t)) for t in first]
+    every = [(t, itemgetter(*t)) for t in generators]
+    frontier = list(span)
     while frontier:
         fresh = []
         for a in frontier:
-            for g in gens:
-                c = tuple(a[k] for k in g)
-                if c not in seen:
-                    seen.add(c)
+            for t, compose in step:
+                c = compose(a)
+                if c not in span:
+                    if c not in within:
+                        witness = (EdgeBijection(a), EdgeBijection(t))
+                        raise NotClosed("product escapes the set", witness=witness)
+                    span.add(c)
                     fresh.append(c)
-        frontier = fresh
-    return {EdgeBijection(p) for p in seen}
+        frontier, step = fresh, every
+    return span
 
 
 def dihedral_witness(group, n):
@@ -124,7 +125,9 @@ def dihedral_witness(group, n):
         for s in flips:
             if s.compose(r).compose(s) != r_inv:
                 continue
-            if len(generated_subgroup([r, s], group.degree)) == group.order:
+            gens = (r.perm, s.perm)
+            span = _close({tuple(range(group.degree))}, gens, gens, group.perms)
+            if len(span) == group.order:
                 return True
     return False
 

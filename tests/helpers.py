@@ -130,6 +130,52 @@ def brute_monotone(poset, theta):
     )
 
 
+def brute_is_group(elements):
+    """Literal group test: the identity, every inverse, and all |G|^2 products."""
+    perms = {t.perm for t in elements}
+    size = len(next(iter(perms)))
+    if tuple(range(size)) not in perms:
+        return False
+    for a in elements:
+        if a.inverse().perm not in perms:
+            return False
+        for b in elements:
+            if a.compose(b).perm not in perms:
+                return False
+    return True
+
+
+def _brute_span(generators, size):
+    """The subgroup the generators span, breadth-first from the identity."""
+    seen = {tuple(range(size))}
+    frontier = list(seen)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for g in generators:
+                c = tuple(a[k] for k in g.perm)
+                if c not in seen:
+                    seen.add(c)
+                    fresh.append(c)
+        frontier = fresh
+    return seen
+
+
+def brute_generating_set(group):
+    """Greedy generators in canonical order, recomputing the span of all the
+    generators so far from scratch after each new one."""
+    elements = sorted(set(group))
+    generators = []
+    span = {tuple(range(len(elements[0].perm)))}
+    for g in elements:
+        if g.perm not in span:
+            generators.append(g)
+            span = _brute_span(generators, len(g.perm))
+            if len(span) == len(elements):
+                break
+    return generators
+
+
 def random_element(poset, rng, density=0.5):
     """A random sparse incidence element over the rationals."""
     from fractions import Fraction

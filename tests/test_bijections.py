@@ -42,7 +42,7 @@ from posetlie.families import (
     suite,
 )
 
-from helpers import brute_monotone, mixed_length_posets
+from helpers import brute_is_group, brute_monotone, mixed_length_posets
 
 
 def identity_on(poset):
@@ -338,13 +338,7 @@ class TestEnumerators:
                 enumerate_AM(poset),
                 enumerate_P(poset),
             ):
-                perms = {t.perm for t in group}
-                size = len(poset.strict_pairs)
-                assert tuple(range(size)) in perms
-                for a in group:
-                    assert a.inverse().perm in perms
-                    for b in group:
-                        assert a.compose(b).perm in perms
+                assert brute_is_group(group)
 
 
 class TestSigma:
