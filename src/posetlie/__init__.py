@@ -15,13 +15,11 @@ from .algebra import (
     invert_element,
     is_lie_automorphism,
     multiplicative_map,
-    multiply,
 )
 from .bijections import (
     CountStats,
     Direction,
     EdgeBijection,
-    SignMap,
     build_compatible_sigma,
     count_stats,
     edge_map_of,
@@ -78,7 +76,6 @@ from .poset import (
     WeakCrown,
     closed_semiwalks,
     is_isomorphic,
-    maximal_chains,
     order_isomorphisms,
     parse_poset,
     poset_maps,

@@ -156,10 +156,6 @@ class IncidenceElement:
         return " + ".join(terms)
 
 
-def multiply(f, g):
-    return f * g
-
-
 def bracket(f, g):
     """The commutator fg - gf."""
     return f * g - g * f

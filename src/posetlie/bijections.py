@@ -77,72 +77,50 @@ class EdgeBijection:
         return cls(tuple(perm))
 
 
-@dataclass(frozen=True)
-class SignMap:
-    """Nonzero scalars attached to every strict pair."""
-
-    values: object  # mapping (x, y) -> field scalar
-
-    def __call__(self, x, y):
-        return self.values[(x, y)]
-
-
 # -- monotonicity -------------------------------------------------------------
 
 
-def image_chain(poset, theta, chain):
-    """Direction of theta on a maximal chain and the reconstructed image chain.
+def _chain_images(poset):
+    """Per maximal chain c: its pair indices, and a dict from every monotone
+    image of them (a pair-index tuple) to (direction, image chain).
 
-    Candidate endpoints come from the image of the full span pair, interior
-    vertices from the images of the prefix pairs; every pair is then checked
-    and the image is required to be a maximal chain.
+    Increasing onto a target t of c's size sends (c_i, c_j) to (t_i, t_j),
+    decreasing sends it to (t_{m-1-j}, t_{m-1-i}); on chains of one or two
+    elements the two coincide as BOTH.  Chains of one size share one dict.
     """
-    pairs = poset.strict_pairs
-    index = poset.pair_index
-    perm = theta.perm
 
-    def th(a, b):
-        return pairs[perm[index[(a, b)]]]
+    def build():
+        index = poset.pair_index
+        sources = {}
+        images = {}  # chain size -> {image pair indices: (direction, target)}
+        for t in poset.maximal_chains:
+            m = len(t)
+            spots = list(itertools.combinations(range(m), 2))
+            up = tuple(index[(t[i], t[j])] for i, j in spots)
+            down = tuple(index[(t[m - 1 - j], t[m - 1 - i])] for i, j in spots)
+            sources[t] = up
+            table = images.setdefault(m, {})
+            if up == down:
+                table[up] = (Direction.BOTH, t)
+            else:
+                table[up] = (Direction.INCREASING, t)
+                table[down] = (Direction.DECREASING, t)
+        return {c: (up, images[len(c)]) for c, up in sources.items()}
 
-    m = len(chain)
-    if m == 1:
-        return Direction.BOTH, chain
-    if m == 2:
-        img = th(chain[0], chain[1])
-        if img in poset.maximal_chain_set:
-            return Direction.BOTH, img
-        return Direction.NONE, None
-    lo, hi = th(chain[0], chain[-1])
+    return poset.memo("chain_images", build)
 
-    candidate = [lo] + [th(chain[0], chain[i])[1] for i in range(1, m - 1)] + [hi]
-    if (
-        all(th(chain[0], chain[i])[0] == lo for i in range(1, m - 1))
-        and tuple(candidate) in poset.maximal_chain_set
-        and all(
-            th(chain[i], chain[j]) == (candidate[i], candidate[j])
-            for i in range(m)
-            for j in range(i + 1, m)
-        )
-    ):
-        return Direction.INCREASING, tuple(candidate)
 
-    candidate = [lo] + [th(chain[0], chain[i])[0] for i in range(m - 2, 0, -1)] + [hi]
-    if (
-        all(th(chain[0], chain[i])[1] == hi for i in range(1, m - 1))
-        and tuple(candidate) in poset.maximal_chain_set
-        and all(
-            th(chain[i], chain[j]) == (candidate[m - 1 - j], candidate[m - 1 - i])
-            for i in range(m)
-            for j in range(i + 1, m)
-        )
-    ):
-        return Direction.DECREASING, tuple(candidate)
-    return Direction.NONE, None
+def image_chain(poset, theta, chain):
+    """Direction of theta on a maximal chain and the chain it maps onto, or
+    (NONE, None) when theta is monotone in neither direction there."""
+    try:
+        sources, images = _chain_images(poset)[chain]
+    except KeyError:
+        raise PreconditionError("chain %r is not maximal" % (chain,)) from None
+    return images.get(tuple(theta.perm[b] for b in sources), (Direction.NONE, None))
 
 
 def monotone_direction(poset, theta, chain):
-    if chain not in poset.maximal_chain_set:
-        raise PreconditionError("chain %r is not maximal" % (chain,))
     return image_chain(poset, theta, chain)[0]
 
 
@@ -350,8 +328,8 @@ def _search(poset, walks):
     sorted raw tuples.
 
     The search builds p, the image of each pair: every maximal chain picks
-    a target chain of its size and a direction, which fixes the images of
-    its pairs, and clashing choices are cut.  The identity on a walk reads
+    one of its monotone images from the chain-image table, which fixes the
+    images of its pairs, and clashing choices are cut.  The identity on a walk reads
     only the images under p of the walk's own pairs, so a walk is checked
     at the first chain after which all of its pairs have one; chains are
     taken in the order of the first walk they lie on.  A leaf records pre,
@@ -368,19 +346,13 @@ def _search(poset, walks):
     size = len(poset.strict_pairs)
     if size < 2:  # operator.itemgetter below needs two indices
         return [tuple(range(size))]
-    index = poset.pair_index
+    table = _chain_images(poset)
     walk_pairs = [{b for b, _ in steps} for steps in walks]
 
-    def pairs_of(chain):
-        return [index[pair] for pair in itertools.combinations(chain, 2)]
-
     def first_walk(chain):
-        on = set(pairs_of(chain))
+        on = set(table[chain][0])
         return next((w for w, b in enumerate(walk_pairs) if b & on), len(walks))
 
-    by_size = {}
-    for c in poset.maximal_chains:
-        by_size.setdefault(len(c), []).append(c)
     chains = sorted(poset.maximal_chains, key=lambda c: (first_walk(c), len(c) == 2))
     # per chain: its pairs placed by earlier chains, its new pairs, their
     # images under each option, and the walks that it completes
@@ -388,16 +360,7 @@ def _search(poset, walks):
     placed = set()
     checked = set()
     for c in chains:
-        sources = pairs_of(c)
-        options = []
-        for target in by_size[len(c)]:
-            options.append(pairs_of(target))
-            if len(c) > 2:
-                flipped = target[::-1]
-                options.append([
-                    index[(flipped[j], flipped[i])]
-                    for i, j in itertools.combinations(range(len(c)), 2)
-                ])
+        sources, options = table[c]
         old = [k for k, b in enumerate(sources) if b in placed]
         new = [k for k, b in enumerate(sources) if b not in placed]
         placed.update(sources)
@@ -412,7 +375,7 @@ def _search(poset, walks):
     checking = [k for k, level in enumerate(levels) if level[3]]
     longer = [k for k, c in enumerate(chains) if len(c) > 2]
     swept = 1 + max(checking[-2:-1] + longer[-1:], default=-1)
-    tail = [index[c] for c in chains[swept:]]
+    tail = [table[c][0][0] for c in chains[swept:]]
     final = [steps for level in levels[swept:] for steps in level[3]]
 
     image = [-1] * size  # entries past the current chain are stale
@@ -473,7 +436,8 @@ def enumerate_AM(poset, bound=DEFAULT_BOUND):
 
 
 def build_compatible_sigma(poset, theta, field=RATIONALS):
-    """A sign map compatible with a monotone bijection.
+    """A sign map compatible with a monotone bijection, as a dict from each
+    strict pair to a field scalar.
 
     Pairs starting at a minimal element get 1; any other pair lies only on
     increasing chains (1) or only on decreasing chains (-1).
@@ -501,7 +465,7 @@ def build_compatible_sigma(poset, theta, field=RATIONALS):
                 % (poset.names[x], poset.names[y])
             )
         values[(x, y)] = one if seen.pop() == Direction.INCREASING else -one
-    return SignMap(values)
+    return values
 
 
 def is_compatible(poset, sigma, theta):
@@ -520,9 +484,9 @@ def is_compatible(poset, sigma, theta):
                 right = th(y, z)
                 whole = th(x, z)
                 if left[1] == right[0] and (left[0], right[1]) == whole:
-                    if sigma(x, z) != sigma(x, y) * sigma(y, z):
+                    if sigma[(x, z)] != sigma[(x, y)] * sigma[(y, z)]:
                         return False
                 elif right[1] == left[0] and (right[0], left[1]) == whole:
-                    if sigma(x, z) != -(sigma(x, y) * sigma(y, z)):
+                    if sigma[(x, z)] != -(sigma[(x, y)] * sigma[(y, z)]):
                         return False
     return True

@@ -148,9 +148,6 @@ class SupportMap:
     kind: MapKind
     mapping: tuple  # pairs (element, image), sorted by element
 
-    def __call__(self, x):
-        return dict(self.mapping)[x]
-
 
 def support_maps(poset, theta):
     """Extract, per chain class, the poset map the bijection acts by.
@@ -252,19 +249,16 @@ def decide_all_proper(poset, bound=DEFAULT_BOUND):
     incidence algebra is proper; a single chain class is reported as the
     sufficient condition it is.
     """
+    # enumerate_AM is sorted, so its first element outside P is min(AM \ P)
     admissible = enumerate_AM(poset, bound)
-    proper = enumerate_P(poset)
-    am_set = {t.perm for t in admissible}
-    p_set = {t.perm for t in proper}
-    if not p_set <= am_set:
+    proper = {t.perm for t in enumerate_P(poset)}
+    if sum(t.perm in proper for t in admissible) != len(proper):
         raise WellDefinednessError("proper bijections escaped the admissible group")
-    counterexample = None
-    if am_set != p_set:
-        counterexample = EdgeBijection(min(am_set - p_set))
+    counterexample = next((t for t in admissible if t.perm not in proper), None)
     return ProperVerdict(
-        all_proper=am_set == p_set,
+        all_proper=counterexample is None,
         counterexample=counterexample,
-        am_order=len(am_set),
-        p_order=len(p_set),
+        am_order=len(admissible),
+        p_order=len(proper),
         class_count=len(chain_classes(poset)),
     )

@@ -45,13 +45,19 @@ def _non_negative_int(text):
     return value
 
 
+def _add_format_flag(sub):
+    sub.add_argument("--format", choices=("text", "json"), default="text")
+
+
 def _add_source_flags(sub):
     sub.add_argument("--family", help="family selector, e.g. crown:3 or kmn:2x3")
     sub.add_argument("--file", help="path to a poset v1 file")
-    sub.add_argument("--format", choices=("text", "json"), default="text")
+    _add_format_flag(sub)
+
+
+def _add_bound_flag(sub):
     sub.add_argument("--bound", type=_non_negative_int, default=bij.DEFAULT_BOUND,
                      help="largest |B| the exhaustive search may attempt")
-    sub.add_argument("--field", default="q", help="q or fp:<prime>")
 
 
 def cmd_info(args):
@@ -227,15 +233,18 @@ def build_parser():
     p = sub.add_parser("enumerate")
     p.add_argument("group", choices=("m", "am", "p"))
     _add_source_flags(p)
+    _add_bound_flag(p)
     p.set_defaults(handler=cmd_enumerate)
 
     p = sub.add_parser("decide")
     _add_source_flags(p)
+    _add_bound_flag(p)
     p.set_defaults(handler=cmd_decide)
 
     p = sub.add_parser("verify")
     p.add_argument("suite", help="suite name or 'all'")
-    _add_source_flags(p)
+    _add_format_flag(p)
+    p.add_argument("--field", default="q", help="q or fp:<prime>")
     p.set_defaults(handler=cmd_verify)
     return parser
 
@@ -243,12 +252,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    # the --field flag selects the scalar field for algebra-layer checks
-    try:
-        parse_field_spec(args.field)
-    except InvalidParameter as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
     try:
         return args.handler(args)
     except BoundExceeded as err:

@@ -9,6 +9,7 @@ and parsing.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from .errors import InvalidParameter
 
@@ -120,10 +121,13 @@ class RationalField:
 
 
 class PrimeField:
-    """The field with p elements, p prime."""
+    """The field with p elements, p prime and below 2^31, so that the
+    primality check by trial division stays instant."""
 
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p >= 2**31:
+            raise InvalidParameter("modulus %r is not below 2^31" % (p,))
+        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
             raise InvalidParameter("modulus %r is not prime" % (p,))
         self.p = p
         self.name = "fp:%d" % p

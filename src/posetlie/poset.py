@@ -251,18 +251,10 @@ class Poset:
         return max(len(c) for c in self.maximal_chains) - 1
 
     @cached_property
-    def _topo_rank(self):
-        # any linear extension: sort by number of elements below, then index
-        order = sorted(range(self.n), key=lambda i: (len(self.below[i]), i))
-        rank = [0] * self.n
-        for pos, i in enumerate(order):
-            rank[i] = pos
-        return tuple(rank)
-
-    @cached_property
     def linear_extension(self):
-        """Element indices in an order compatible with <."""
-        return tuple(sorted(range(self.n), key=lambda i: self._topo_rank[i]))
+        """Element indices in an order compatible with <: by the number of
+        elements below, then by index."""
+        return tuple(sorted(range(self.n), key=lambda i: (len(self.below[i]), i)))
 
     @cached_property
     def maximal_chains(self):
@@ -389,11 +381,6 @@ def parse_poset(text):
 
 
 # -- chains, crowns, semiwalks ----------------------------------------------
-
-
-def maximal_chains(poset):
-    """All maximal chains of the poset, each listed once, sorted."""
-    return poset.maximal_chains
 
 
 def weak_crowns(poset):

@@ -100,22 +100,41 @@ def literal_convolution(f, g):
 
 @lru_cache(maxsize=None)
 def _brute_chain_images(poset):
-    """Per maximal chain: its pairs, and every image of them that is
-    literally monotone, increasing or decreasing onto a chain of its size."""
+    """Per maximal chain: the chain, its pairs, and every image of them that
+    is literally monotone, increasing or decreasing onto a chain of its size,
+    mapped to (direction, target); BOTH where the two images coincide."""
+    from posetlie import Direction
+
     chains = brute_maximal_chains(poset)
     out = []
     for chain in chains:
         m = len(chain)
         spots = [(i, j) for i in range(m) for j in range(i + 1, m)]
-        images = set()
+        images = {}
         for target in chains:
             if len(target) == m:
-                images.add(tuple((target[i], target[j]) for i, j in spots))
-                images.add(
-                    tuple((target[m - 1 - j], target[m - 1 - i]) for i, j in spots)
-                )
-        out.append(([(chain[i], chain[j]) for i, j in spots], images))
+                up = tuple((target[i], target[j]) for i, j in spots)
+                down = tuple((target[m - 1 - j], target[m - 1 - i]) for i, j in spots)
+                images[up] = (Direction.INCREASING, target)
+                images[down] = (Direction.DECREASING, target)
+                if up == down:
+                    images[up] = (Direction.BOTH, target)
+        out.append((chain, [(chain[i], chain[j]) for i, j in spots], images))
     return out
+
+
+def brute_image_chains(poset, theta):
+    """Per maximal chain, the (direction, target) whose literal image theta's
+    images of the chain's pairs equal, or (NONE, None)."""
+    from posetlie import Direction
+
+    def th(pair):
+        return poset.strict_pairs[theta.perm[poset.pair_index[pair]]]
+
+    return {
+        chain: images.get(tuple(th(pair) for pair in pairs), (Direction.NONE, None))
+        for chain, pairs, images in _brute_chain_images(poset)
+    }
 
 
 def brute_monotone(poset, theta):
@@ -126,7 +145,7 @@ def brute_monotone(poset, theta):
 
     return all(
         tuple(th(pair) for pair in pairs) in images
-        for pairs, images in _brute_chain_images(poset)
+        for _, pairs, images in _brute_chain_images(poset)
     )
 
 

@@ -13,7 +13,6 @@ from posetlie import (
     EdgeBijection,
     MapKind,
     PreconditionError,
-    SignMap,
     build_compatible_sigma,
     count_stats,
     edge_map_of,
@@ -42,7 +41,12 @@ from posetlie.families import (
     suite,
 )
 
-from helpers import brute_is_group, brute_monotone, mixed_length_posets
+from helpers import (
+    brute_image_chains,
+    brute_is_group,
+    brute_monotone,
+    mixed_length_posets,
+)
 
 
 def identity_on(poset):
@@ -92,6 +96,8 @@ class TestMonotoneDirection:
         p = chain(3)
         with pytest.raises(PreconditionError):
             monotone_direction(p, identity_on(p), (0, 1))
+        with pytest.raises(PreconditionError):
+            image_chain(p, identity_on(p), (0, 1))
 
     def test_image_chain_reconstruction(self):
         p = example6()
@@ -120,18 +126,26 @@ class TestInM:
         assert not in_M(p, EdgeBijection(tuple(perm)))
 
     @pytest.mark.parametrize(
-        "poset", [chain(3), chain(4), example6()], ids=["chain3", "chain4", "example6"]
+        "poset",
+        [chain(1), chain(3), chain(4), example6(), crown(3)] + MIXED_LENGTH_POSETS,
+        ids=["chain1", "chain3", "chain4", "example6", "crown3"] + MIXED_LENGTH_NAMES,
     )
     def test_matches_literal_search_on_higher_length(self, poset):
-        import itertools
+        # random permutations are almost never monotone, so every element of
+        # M is checked too, with its direction and image on every chain
         import random
 
         rng = random.Random(43)
         size = len(poset.strict_pairs)
-        perms = [tuple(rng.sample(range(size), size)) for _ in range(200)]
-        perms += [tuple(range(size))]
-        for perm in perms:
-            theta = EdgeBijection(perm)
+        thetas = [
+            EdgeBijection(tuple(rng.sample(range(size), size))) for _ in range(200)
+        ]
+        thetas += [identity_on(poset)] + list(enumerate_M(poset))
+        for theta in thetas:
+            expected = brute_image_chains(poset, theta)
+            assert {
+                c: image_chain(poset, theta, c) for c in poset.maximal_chains
+            } == expected
             assert in_M(poset, theta) == brute_monotone(poset, theta)
 
 
@@ -345,29 +359,29 @@ class TestSigma:
     def test_identity_gives_all_ones(self):
         p = example6()
         sigma = build_compatible_sigma(p, identity_on(p))
-        assert all(v == Fraction(1) for v in sigma.values.values())
+        assert all(v == Fraction(1) for v in sigma.values())
 
     def test_decreasing_chain3(self):
         p = chain(3)
         theta = anti_edge_map(p)
         sigma = build_compatible_sigma(p, theta)
-        assert sigma(0, 1) == Fraction(1)
-        assert sigma(0, 2) == Fraction(1)
-        assert sigma(1, 2) == Fraction(-1)
+        assert sigma[(0, 1)] == Fraction(1)
+        assert sigma[(0, 2)] == Fraction(1)
+        assert sigma[(1, 2)] == Fraction(-1)
         # the decreasing product rule forces sigma(1,3) = -sigma(1,2)sigma(2,3)
-        assert sigma(0, 2) == -sigma(0, 1) * sigma(1, 2)
+        assert sigma[(0, 2)] == -sigma[(0, 1)] * sigma[(1, 2)]
         assert is_compatible(p, sigma, theta)
 
     def test_all_ones_incompatible_with_decreasing(self):
         p = chain(3)
         theta = anti_edge_map(p)
-        ones = SignMap({pair: Fraction(1) for pair in p.strict_pairs})
+        ones = {pair: Fraction(1) for pair in p.strict_pairs}
         assert not is_compatible(p, ones, theta)
 
     def test_all_ones_compatible_with_identity(self):
         p = chain(3)
         assert is_compatible(
-            p, SignMap({pair: Fraction(1) for pair in p.strict_pairs}), identity_on(p)
+            p, {pair: Fraction(1) for pair in p.strict_pairs}, identity_on(p)
         )
 
     def test_construction_compatible_across_suite(self):

@@ -8,10 +8,12 @@ from posetlie import (
     ExtractionError,
     MapKind,
     PreconditionError,
+    WellDefinednessError,
     chain_classes,
     decide_all_proper,
     edge_map_of,
     enumerate_AM,
+    enumerate_P,
     induced_class_map,
     linked,
     poset_maps,
@@ -25,6 +27,7 @@ from posetlie.families import (
     example6,
     example20,
     example20_bijection,
+    fence,
     kmn,
     star,
     suite,
@@ -236,6 +239,27 @@ class TestDecideAllProper:
         assert verdict.class_count == 2
         assert not verdict.single_class_sufficient
         assert verdict.all_proper
+
+    @pytest.mark.parametrize(
+        "poset, bound",
+        [(crown(3), 9), (crown(4), 9), (fence(6), 9), (example20(), 60)],
+        ids=["crown3", "crown4", "fence6", "example20"],
+    )
+    def test_witness_is_least_admissible_non_proper(self, poset, bound):
+        admissible = {t.perm for t in enumerate_AM(poset, bound)}
+        proper = {t.perm for t in enumerate_P(poset)}
+        verdict = decide_all_proper(poset, bound)
+        assert verdict.counterexample.perm == min(admissible - proper)
+        assert (verdict.am_order, verdict.p_order) == (len(admissible), len(proper))
+
+    def test_proper_outside_admissible_is_an_error(self, monkeypatch):
+        from posetlie import chains
+
+        poset = example20()
+        listed = chains.enumerate_P(poset) + [example20_bijection(poset)]
+        monkeypatch.setattr(chains, "enumerate_P", lambda p: listed)
+        with pytest.raises(WellDefinednessError, match="escaped the admissible group"):
+            decide_all_proper(poset, bound=60)
 
     def test_json_shape(self):
         poset = crown(3)

@@ -111,8 +111,10 @@ def test_missing_source_is_usage_error(capsys):
     assert main(["info"]) == 2
 
 
-def test_bad_field_is_usage_error(capsys):
-    assert main(["info", "--family", "chain:2", "--field", "fp:6"]) == 2
+@pytest.mark.parametrize("spec", ["fp:6", "fp:100000000000000000039"])
+def test_bad_field_is_usage_error(capsys, spec):
+    # a modulus of 2^31 or more is refused before any trial division
+    assert main(["verify", "algebra", "--field", spec]) == 2
 
 
 def test_bound_exceeded_exit_code(capsys):
@@ -129,9 +131,10 @@ def test_bad_file_reports_parse_error(tmp_path, capsys):
     assert main(["info", "--file", str(path2)]) == 2
 
 
-def test_prime_field_flag_accepted(capsys):
+@pytest.mark.parametrize("spec", ["fp:7", "fp:2147483647"])
+def test_prime_field_flag_accepted(capsys, spec):
     code, out = run(
-        capsys, "verify", "algebra", "--field", "fp:7", "--format", "json"
+        capsys, "verify", "algebra", "--field", spec, "--format", "json"
     )
     assert code == 0
     data = json.loads(out)
@@ -154,8 +157,17 @@ def test_smallest_valid_integer_flags_are_accepted(capsys):
     assert main(["decide", "--family", "crown:2", "--bound", "0"]) == 3
 
 
-def test_jobs_flag_is_unrecognized(capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "--family", "crown:3", "--jobs", "2"],
+        ["info", "--family", "crown:3", "--field", "q"],
+        ["verify", "all", "--bound", "3"],
+    ],
+    ids=["decide-jobs", "info-field", "verify-bound"],
+)
+def test_flags_a_subcommand_does_not_read_are_unrecognized(capsys, argv):
     with pytest.raises(SystemExit) as exit_info:
-        main(["decide", "--family", "crown:3", "--jobs", "2"])
+        main(argv)
     assert exit_info.value.code == 2
-    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
