@@ -21,6 +21,7 @@ from .bijections import (
     Direction,
     EdgeBijection,
     build_compatible_sigma,
+    chain_action,
     count_stats,
     edge_map_of,
     enumerate_AM,
@@ -32,7 +33,6 @@ from .bijections import (
     is_admissible_oracle,
     is_compatible,
     is_separating,
-    monotone_direction,
     proper_witness,
     satisfies_crown_criterion,
 )

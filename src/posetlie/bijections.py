@@ -120,15 +120,25 @@ def image_chain(poset, theta, chain):
     return images.get(tuple(theta.perm[b] for b in sources), (Direction.NONE, None))
 
 
-def monotone_direction(poset, theta, chain):
-    return image_chain(poset, theta, chain)[0]
+def chain_action(poset, theta):
+    """Theta's (direction, image chain) on every maximal chain, keyed by
+    chain; raises PreconditionError when theta is not in M."""
+    perm = theta.perm
+    action = {}
+    for chain, (sources, images) in _chain_images(poset).items():
+        hit = images.get(tuple(perm[b] for b in sources))
+        if hit is None:
+            raise PreconditionError("bijection is not monotone on maximal chains")
+        action[chain] = hit
+    return action
 
 
 def in_M(poset, theta):
     """Whether theta is increasing or decreasing on every maximal chain."""
+    perm = theta.perm
     return all(
-        image_chain(poset, theta, c)[0] != Direction.NONE
-        for c in poset.maximal_chains
+        tuple(perm[b] for b in sources) in images
+        for sources, images in _chain_images(poset).values()
     )
 
 
@@ -229,8 +239,7 @@ def is_admissible(poset, theta):
     fundamental cycles of the comparability graph span the integer cycle
     space, so checking it on ``poset.cycle_basis`` suffices.
     """
-    if not in_M(poset, theta):
-        raise PreconditionError("bijection is not monotone on maximal chains")
+    chain_action(poset, theta)
     return _balanced_on_steps(poset, theta.inverse().perm, _basis_steps(poset))
 
 
@@ -242,8 +251,7 @@ def satisfies_crown_criterion(poset, theta):
     representatives suffice: the identity is invariant under cyclic shifts
     and orientation reversal of the cycle.
     """
-    if not in_M(poset, theta):
-        raise PreconditionError("bijection is not monotone on maximal chains")
+    chain_action(poset, theta)
     return _balanced_on_steps(poset, theta.inverse().perm, _crown_steps(poset))
 
 
@@ -253,8 +261,7 @@ def is_admissible_oracle(poset, theta, max_length):
     Checks the identity at every element on every such walk, not just on
     the basis or the crowns.
     """
-    if not in_M(poset, theta):
-        raise PreconditionError("bijection is not monotone on maximal chains")
+    chain_action(poset, theta)
     return _balanced_on_steps(
         poset, theta.inverse().perm, _semiwalk_steps(poset, max_length)
     )
@@ -287,10 +294,9 @@ def proper_witness(poset, theta):
 
 def is_separating(poset, theta):
     """Whether some non-disjoint pair of maximal chains has disjoint images."""
-    if not in_M(poset, theta):
-        raise PreconditionError("bijection is not monotone on maximal chains")
+    action = chain_action(poset, theta)
     chains = poset.maximal_chains
-    images = [set(image_chain(poset, theta, c)[1]) for c in chains]
+    images = [set(action[c][1]) for c in chains]
     sets = [set(c) for c in chains]
     for i in range(len(chains)):
         for j in range(i + 1, len(chains)):
@@ -442,23 +448,18 @@ def build_compatible_sigma(poset, theta, field=RATIONALS):
     Pairs starting at a minimal element get 1; any other pair lies only on
     increasing chains (1) or only on decreasing chains (-1).
     """
-    if not in_M(poset, theta):
-        raise PreconditionError("bijection is not monotone on maximal chains")
-    directions = {
-        c: image_chain(poset, theta, c)[0] for c in poset.maximal_chains
-    }
+    table = _chain_images(poset)
+    directions = [set() for _ in poset.strict_pairs]
+    for chain, (direction, _) in chain_action(poset, theta).items():
+        for b in table[chain][0]:
+            directions[b].add(direction)
     min_set = set(poset.min_set)
     one = field.one
     values = {}
-    for x, y in poset.strict_pairs:
+    for (x, y), seen in zip(poset.strict_pairs, directions):
         if x in min_set:
             values[(x, y)] = one
             continue
-        seen = {
-            directions[c]
-            for c in poset.maximal_chains
-            if x in c and y in c
-        }
         if len(seen) != 1:
             raise WellDefinednessError(
                 "pair (%s, %s) lies on chains of mixed direction"

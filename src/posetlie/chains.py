@@ -11,10 +11,9 @@ from .bijections import (
     DEFAULT_BOUND,
     Direction,
     EdgeBijection,
+    chain_action,
     enumerate_AM,
     enumerate_P,
-    image_chain,
-    in_M,
 )
 from .errors import ExtractionError, PreconditionError, WellDefinednessError
 from .poset import MapKind
@@ -26,24 +25,6 @@ class ChainClass:
 
     chains: tuple
     support: tuple
-
-
-class _UnionFind:
-    def __init__(self, size):
-        self.parent = list(range(size))
-
-    def find(self, i):
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:  # path compression
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
 
 
 def linked(poset, chain_a, chain_b):
@@ -58,26 +39,34 @@ def linked(poset, chain_a, chain_b):
 def chain_classes(poset):
     """Partition of the maximal chains by the closure of the linked relation.
 
-    Classes are sorted by their least chain; supports are unions of member
-    chains.  Distinct supports meet only in extremal elements.
+    Each class is found by walking from its least chain to every chain that
+    shares an interior element with one already reached, so classes come out
+    sorted by their least chain; supports are unions of member chains.
+    Distinct supports meet only in extremal elements.
     """
     chains = poset.maximal_chains
-    uf = _UnionFind(len(chains))
     extremal = set(poset.min_set) | set(poset.max_set)
-    interiors = [set(c) - extremal for c in chains]
-    for i in range(len(chains)):
-        for j in range(i + 1, len(chains)):
-            if interiors[i] & interiors[j]:
-                uf.union(i, j)
-    groups = {}
-    for i in range(len(chains)):
-        groups.setdefault(uf.find(i), []).append(i)
+    through = {}  # interior element -> indices of the chains through it
+    for i, c in enumerate(chains):
+        for x in c:
+            if x not in extremal:
+                through.setdefault(x, []).append(i)
+    reached = [False] * len(chains)
     classes = []
-    for members in groups.values():
-        member_chains = tuple(sorted(chains[i] for i in members))
+    for start in range(len(chains)):
+        if reached[start]:
+            continue
+        reached[start] = True
+        members = [start]
+        for i in members:  # grows as the walk reaches new chains
+            for x in chains[i]:
+                for j in through.pop(x, ()):
+                    if not reached[j]:
+                        reached[j] = True
+                        members.append(j)
+        member_chains = tuple(chains[i] for i in sorted(members))
         support = tuple(sorted({x for c in member_chains for x in c}))
         classes.append(ChainClass(member_chains, support))
-    classes.sort(key=lambda c: c.chains[0])
     return tuple(classes)
 
 
@@ -93,24 +82,25 @@ def classes_to_json(poset, classes):
     }
 
 
-def _class_lookup(classes):
-    table = {}
-    for k, cls in enumerate(classes):
-        for chain in cls.chains:
-            table[chain] = k
-    return table
-
-
-def _class_direction(poset, theta, cls):
-    """The common direction of theta on a class (BOTH for a lone 2-chain)."""
-    seen = set()
-    for chain in cls.chains:
-        direction, _ = image_chain(poset, theta, chain)
-        seen.add(direction)
-    definite = seen - {Direction.BOTH}
-    if len(definite) > 1:
-        raise WellDefinednessError("direction is not constant on a chain class")
-    return definite.pop() if definite else Direction.BOTH
+def _class_map(classes, action):
+    """Per class, theta's common direction on it (BOTH for a lone 2-chain)
+    and the index of the class its chains map into, from theta's chain
+    action; checks that both are well defined and the map is a bijection."""
+    lookup = {chain: k for k, cls in enumerate(classes) for chain in cls.chains}
+    out = []
+    for cls in classes:
+        definite = {action[c][0] for c in cls.chains} - {Direction.BOTH}
+        if len(definite) > 1:
+            raise WellDefinednessError("direction is not constant on a chain class")
+        targets = {lookup[action[c][1]] for c in cls.chains}
+        if len(targets) != 1:
+            raise WellDefinednessError(
+                "chains of one class map into %d classes" % len(targets)
+            )
+        out.append((definite.pop() if definite else Direction.BOTH, targets.pop()))
+    if sorted(target for _, target in out) != list(range(len(out))):
+        raise WellDefinednessError("induced class map is not a bijection")
+    return out
 
 
 def induced_class_map(poset, theta):
@@ -119,24 +109,11 @@ def induced_class_map(poset, theta):
     Also checks the direction is constant on each class.  Returns a mapping
     from class index to class index.
     """
-    if not in_M(poset, theta):
-        raise PreconditionError("bijection is not monotone on maximal chains")
-    classes = chain_classes(poset)
-    lookup = _class_lookup(classes)
-    out = {}
-    for k, cls in enumerate(classes):
-        _class_direction(poset, theta, cls)
-        targets = {
-            lookup[image_chain(poset, theta, chain)[1]] for chain in cls.chains
-        }
-        if len(targets) != 1:
-            raise WellDefinednessError(
-                "chains of one class map into %d classes" % len(targets)
-            )
-        out[k] = targets.pop()
-    if sorted(out.values()) != sorted(out):
-        raise WellDefinednessError("induced class map is not a bijection")
-    return out
+    action = chain_action(poset, theta)
+    return {
+        k: target
+        for k, (_, target) in enumerate(_class_map(chain_classes(poset), action))
+    }
 
 
 @dataclass(frozen=True)
@@ -157,20 +134,18 @@ def support_maps(poset, theta):
     every strict pair of the source support.  Raises ExtractionError when no
     such map exists; for admissible bijections extraction always succeeds.
     """
-    if not in_M(poset, theta):
-        raise PreconditionError("bijection is not monotone on maximal chains")
+    action = chain_action(poset, theta)
     classes = chain_classes(poset)
-    class_map = induced_class_map(poset, theta)
     pairs = poset.strict_pairs
     index = poset.pair_index
     results = []
-    for k, cls in enumerate(classes):
-        target_cls = classes[class_map[k]]
-        direction = _class_direction(poset, theta, cls)
+    for k, (direction, target) in enumerate(_class_map(classes, action)):
+        cls = classes[k]
+        target_cls = classes[target]
         decreasing = direction == Direction.DECREASING
         mapping = {}
         for chain in cls.chains:
-            _, img = image_chain(poset, theta, chain)
+            img = action[chain][1]
             m = len(chain)
             for pos, x in enumerate(chain):
                 y = img[m - 1 - pos] if decreasing else img[pos]
@@ -208,7 +183,7 @@ def support_maps(poset, theta):
                             % (poset.names[x], poset.names[y])
                         )
         results.append(
-            SupportMap(k, class_map[k], kind, tuple(sorted(mapping.items())))
+            SupportMap(k, target, kind, tuple(sorted(mapping.items())))
         )
     return results
 

@@ -29,8 +29,12 @@ def _load_poset(args):
     if args.family:
         return fam.from_selector(args.family)
     if args.file:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            return pst.parse_poset(handle.read())
+        try:
+            with open(args.file, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as err:  # missing, a directory, not UTF-8
+            raise InvalidParameter("cannot read %s: %s" % (args.file, err)) from None
+        return pst.parse_poset(text)
     raise InvalidParameter("need --family or --file")
 
 
@@ -257,7 +261,7 @@ def main(argv=None):
     except BoundExceeded as err:
         print("error: %s" % err, file=sys.stderr)
         return 3
-    except (InvalidParameter, ParseError, FileNotFoundError) as err:
+    except (InvalidParameter, ParseError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
     except PosetLieError as err:

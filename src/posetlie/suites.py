@@ -376,9 +376,9 @@ def properties_block():
     for name, poset in _small_suite(6):
         chains = poset.maximal_chains
         for theta in bij.enumerate_M(poset):
-            dirs = {c: bij.image_chain(poset, theta, c)[0] for c in chains}
-            inc = [c for c in chains if dirs[c] in (bij.Direction.INCREASING, bij.Direction.BOTH)]
-            dec = [c for c in chains if dirs[c] in (bij.Direction.DECREASING, bij.Direction.BOTH)]
+            action = bij.chain_action(poset, theta)
+            inc = [c for c in chains if action[c][0] in (bij.Direction.INCREASING, bij.Direction.BOTH)]
+            dec = [c for c in chains if action[c][0] in (bij.Direction.DECREASING, bij.Direction.BOTH)]
             for c1 in inc:
                 for c2 in dec:
                     shared = set(c1) & set(c2)
@@ -445,16 +445,13 @@ def properties_block():
     parity_bad = 0
     for theta in bij.enumerate_M(poset):
         admissible = bij.is_admissible(poset, theta)
+        action = bij.chain_action(poset, theta)
         by_parity = True
         for i in range(len(chains)):
             for j in range(i + 1, len(chains)):
                 if set(chains[i]) & set(chains[j]):
-                    pi = _parity_of_chain(
-                        poset, 3, bij.image_chain(poset, theta, chains[i])[1]
-                    )
-                    pj = _parity_of_chain(
-                        poset, 3, bij.image_chain(poset, theta, chains[j])[1]
-                    )
+                    pi = _parity_of_chain(poset, 3, action[chains[i]][1])
+                    pj = _parity_of_chain(poset, 3, action[chains[j]][1])
                     if pi == pj:
                         by_parity = False
         if admissible != by_parity:

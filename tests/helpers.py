@@ -226,3 +226,67 @@ def mixed_length_posets():
         ),
     }
     return {name: parse_poset(text) for name, text in sources.items()}
+
+
+def random_connected_poset(rng, n, density=0.4):
+    """A connected poset on n elements from random upward cover pairs."""
+    from posetlie import DisconnectedError, Poset
+
+    while True:
+        pairs = [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < density
+        ]
+        names = ["e%d" % i for i in range(n)]
+        try:
+            return Poset.from_relations(names, pairs)
+        except DisconnectedError:
+            continue
+
+
+def non_monotone_cases():
+    """Name -> (poset, theta) with theta outside M: on chain:3 it swaps e_12
+    and e_13; on example:6 it swaps e_16 and e_36, which breaks only the
+    last maximal chain, 1<3<6."""
+    from posetlie import EdgeBijection
+    from posetlie.families import chain, example6
+
+    out = {}
+    for name, poset, a, b in (
+        ("chain:3", chain(3), ("1", "2"), ("1", "3")),
+        ("example:6", example6(), ("1", "6"), ("3", "6")),
+    ):
+        i = poset.pair_index[tuple(map(poset.index, a))]
+        j = poset.pair_index[tuple(map(poset.index, b))]
+        perm = list(range(len(poset.strict_pairs)))
+        perm[i], perm[j] = j, i
+        out[name] = (poset, EdgeBijection(tuple(perm)))
+    return out
+
+
+def brute_chain_components(poset):
+    """The classes of maximal chains under the closure of the linked
+    relation: start from singletons and merge any two groups holding a pair
+    of chains that share an element outside Min and Max, until none do.
+    Each class is a sorted tuple of chains; classes are sorted."""
+    everything = range(poset.n)
+    extremal = {
+        x
+        for x in everything
+        if not any(poset.lt(y, x) for y in everything)
+        or not any(poset.lt(x, y) for y in everything)
+    }
+    groups = [[c] for c in poset.maximal_chains]
+    merged = True
+    while merged:
+        merged = False
+        for i, j in combinations(range(len(groups)), 2):
+            if any(
+                (set(a) & set(b)) - extremal for a in groups[i] for b in groups[j]
+            ):
+                groups[i] += groups.pop(j)
+                merged = True
+                break
+    return sorted(tuple(sorted(g)) for g in groups)

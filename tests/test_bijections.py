@@ -14,6 +14,7 @@ from posetlie import (
     MapKind,
     PreconditionError,
     build_compatible_sigma,
+    chain_action,
     count_stats,
     edge_map_of,
     enumerate_AM,
@@ -25,9 +26,10 @@ from posetlie import (
     is_admissible_oracle,
     is_compatible,
     is_separating,
-    monotone_direction,
     poset_maps,
     proper_witness,
+    satisfies_crown_criterion,
+    support_maps,
 )
 from posetlie.families import (
     chain,
@@ -46,6 +48,7 @@ from helpers import (
     brute_is_group,
     brute_monotone,
     mixed_length_posets,
+    non_monotone_cases,
 )
 
 
@@ -55,8 +58,6 @@ def identity_on(poset):
 
 MIXED_LENGTH_NAMES = sorted(mixed_length_posets())
 MIXED_LENGTH_POSETS = [mixed_length_posets()[n] for n in MIXED_LENGTH_NAMES]
-
-
 def anti_edge_map(poset):
     anti = [m for m in poset_maps(poset) if m.kind == MapKind.ANTI][0]
     return edge_map_of(poset, anti)
@@ -77,11 +78,11 @@ def crown_parity_swap(n):
 class TestMonotoneDirection:
     def test_identity_on_chain3_increasing(self):
         p = chain(3)
-        assert monotone_direction(p, identity_on(p), (0, 1, 2)) == Direction.INCREASING
+        assert image_chain(p, identity_on(p), (0, 1, 2))[0] == Direction.INCREASING
 
     def test_flip_on_chain3_decreasing(self):
         p = chain(3)
-        assert monotone_direction(p, anti_edge_map(p), (0, 1, 2)) == Direction.DECREASING
+        assert image_chain(p, anti_edge_map(p), (0, 1, 2))[0] == Direction.DECREASING
 
     def test_length_one_posets_are_both(self):
         import itertools
@@ -90,12 +91,10 @@ class TestMonotoneDirection:
         for perm in itertools.permutations(range(4)):
             theta = EdgeBijection(perm)
             for c in p.maximal_chains:
-                assert monotone_direction(p, theta, c) == Direction.BOTH
+                assert image_chain(p, theta, c)[0] == Direction.BOTH
 
     def test_non_maximal_chain_rejected(self):
         p = chain(3)
-        with pytest.raises(PreconditionError):
-            monotone_direction(p, identity_on(p), (0, 1))
         with pytest.raises(PreconditionError):
             image_chain(p, identity_on(p), (0, 1))
 
@@ -147,6 +146,11 @@ class TestInM:
                 c: image_chain(poset, theta, c) for c in poset.maximal_chains
             } == expected
             assert in_M(poset, theta) == brute_monotone(poset, theta)
+            if brute_monotone(poset, theta):
+                assert chain_action(poset, theta) == expected
+            else:
+                with pytest.raises(PreconditionError):
+                    chain_action(poset, theta)
 
 
 class TestCountStats:
@@ -195,15 +199,20 @@ class TestAdmissibility:
                 assert is_admissible(poset, EdgeBijection(perm))
 
     def test_monotonicity_required(self):
-        p = chain(3)
-        i12 = p.pair_index[(0, 1)]
-        i13 = p.pair_index[(0, 2)]
-        perm = list(range(3))
-        perm[i12], perm[i13] = i13, i12
-        with pytest.raises(PreconditionError):
-            is_admissible(p, EdgeBijection(tuple(perm)))
-        with pytest.raises(PreconditionError):
-            is_admissible_oracle(p, EdgeBijection(tuple(perm)), 4)
+        for poset, theta in non_monotone_cases().values():
+            # on example:6 only the last chain, 1<3<6, is broken
+            directions = [d for d, _ in brute_image_chains(poset, theta).values()]
+            assert directions.index(Direction.NONE) == len(directions) - 1
+            with pytest.raises(PreconditionError):
+                is_admissible(poset, theta)
+            with pytest.raises(PreconditionError):
+                is_admissible_oracle(poset, theta, 4)
+            with pytest.raises(PreconditionError):
+                satisfies_crown_criterion(poset, theta)
+            with pytest.raises(PreconditionError):
+                is_separating(poset, theta)
+            with pytest.raises(PreconditionError):
+                support_maps(poset, theta)
 
     def test_crown_swap_admissible(self):
         poset, theta = crown_parity_swap(3)
@@ -393,13 +402,9 @@ class TestSigma:
                 assert is_compatible(poset, sigma, theta)
 
     def test_requires_monotone(self):
-        p = chain(3)
-        i12 = p.pair_index[(0, 1)]
-        i13 = p.pair_index[(0, 2)]
-        perm = list(range(3))
-        perm[i12], perm[i13] = i13, i12
-        with pytest.raises(PreconditionError):
-            build_compatible_sigma(p, EdgeBijection(tuple(perm)))
+        for poset, theta in non_monotone_cases().values():
+            with pytest.raises(PreconditionError):
+                build_compatible_sigma(poset, theta)
 
 
 class TestSerialization:

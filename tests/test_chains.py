@@ -1,6 +1,8 @@
 """The linked relation, chain classes, support maps, and the properness
 decision."""
 
+import random
+
 import pytest
 
 from posetlie import (
@@ -15,9 +17,11 @@ from posetlie import (
     enumerate_AM,
     enumerate_P,
     induced_class_map,
+    is_separating,
     linked,
     poset_maps,
     proper_witness,
+    satisfies_crown_criterion,
     support_maps,
 )
 from posetlie.chains import classes_to_json
@@ -31,6 +35,13 @@ from posetlie.families import (
     kmn,
     star,
     suite,
+)
+
+from helpers import (
+    brute_chain_components,
+    mixed_length_posets,
+    non_monotone_cases,
+    random_connected_poset,
 )
 
 
@@ -87,8 +98,13 @@ class TestChainClasses:
             assert all(len(c.chains) == 1 for c in classes)
 
     def test_partition_properties(self):
-        for poset in (example6(), example20(), chain(4), crown(3)):
+        rng = random.Random(71)
+        posets = [example6(), example20(), chain(4), crown(3)]
+        posets += list(mixed_length_posets().values())
+        posets += [random_connected_poset(rng, rng.randint(5, 8)) for _ in range(40)]
+        for poset in posets:
             classes = chain_classes(poset)
+            assert [c.chains for c in classes] == brute_chain_components(poset)
             all_chains = [c for cls in classes for c in cls.chains]
             assert sorted(all_chains) == list(poset.maximal_chains)
             covered = {x for cls in classes for x in cls.support}
@@ -125,13 +141,15 @@ class TestInducedClassMap:
         assert induced_class_map(p, theta) == {0: 1, 1: 0}
 
     def test_requires_monotone(self):
-        p = chain(3)
-        i12 = p.pair_index[(0, 1)]
-        i13 = p.pair_index[(0, 2)]
-        perm = list(range(3))
-        perm[i12], perm[i13] = i13, i12
-        with pytest.raises(PreconditionError):
-            induced_class_map(p, EdgeBijection(tuple(perm)))
+        for poset, theta in non_monotone_cases().values():
+            with pytest.raises(PreconditionError):
+                induced_class_map(poset, theta)
+            with pytest.raises(PreconditionError):
+                satisfies_crown_criterion(poset, theta)
+            with pytest.raises(PreconditionError):
+                is_separating(poset, theta)
+            with pytest.raises(PreconditionError):
+                support_maps(poset, theta)
 
     def test_total_and_bijective_for_admissible(self):
         for _, poset in suite():
@@ -172,8 +190,6 @@ class TestSupportMaps:
             support_maps(p, example20_bijection(p))
 
     def test_admissible_always_extracts_off_family(self):
-        from helpers import mixed_length_posets
-
         for poset in mixed_length_posets().values():
             classes = chain_classes(poset)
             for theta in enumerate_AM(poset):

@@ -130,6 +130,15 @@ def test_bad_file_reports_parse_error(tmp_path, capsys):
     path2.write_text("elements: a\nrelations:\n")
     assert main(["info", "--file", str(path2)]) == 2
 
+    # unreadable files are usage errors too, reported without a traceback
+    not_utf8 = tmp_path / "utf16.poset"
+    not_utf8.write_bytes(b"\xff\xfep\x00o\x00")
+    capsys.readouterr()
+    for bad in (tmp_path / "missing.poset", tmp_path, not_utf8):
+        assert main(["info", "--file", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 @pytest.mark.parametrize("spec", ["fp:7", "fp:2147483647"])
 def test_prime_field_flag_accepted(capsys, spec):

@@ -5,9 +5,7 @@ import random
 import pytest
 
 from posetlie import (
-    DisconnectedError,
     EdgeBijection,
-    Poset,
     build_compatible_sigma,
     center,
     commutator_subspace,
@@ -20,23 +18,7 @@ from posetlie import (
 from posetlie import linalg
 from posetlie.algebra import IncidenceElement
 
-from helpers import brute_monotone, brute_poset_maps
-
-
-def random_connected_poset(rng, n, density=0.4):
-    """A connected poset on n elements from random upward cover pairs."""
-    while True:
-        pairs = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < density
-        ]
-        names = ["e%d" % i for i in range(n)]
-        try:
-            return Poset.from_relations(names, pairs)
-        except DisconnectedError:
-            continue
+from helpers import brute_monotone, brute_poset_maps, random_connected_poset
 
 
 def sample(seed, count, n):
