@@ -146,51 +146,67 @@ def in_M(poset, theta):
 
 
 def count_stats(poset, theta, walk, z):
-    """The four step counts, computed literally by searching witnesses w."""
+    """The four step counts, computed literally: a step counts toward s when
+    its pair is theta(z, w) for some w > z, toward t when it is theta(w, z)
+    for some w < z, with + for an up-step and - for a down-step."""
     if walk[0] != walk[-1] or len(walk) < 2:
         raise PreconditionError("walk must be closed")
-    pairs = poset.strict_pairs
     index = poset.pair_index
     perm = theta.perm
-
-    def th(a, b):
-        return pairs[perm[index[(a, b)]]]
-
+    s_hits = {perm[index[(z, w)]] for w in poset.above[z]}
+    t_hits = {perm[index[(w, z)]] for w in poset.below[z]}
     s_plus = s_minus = t_plus = t_minus = 0
-    for i in range(len(walk) - 1):
-        u, v = walk[i], walk[i + 1]
-        if poset.lt(u, v):
-            edge = (u, v)
-            if any(th(z, w) == edge for w in poset.above[z]):
-                s_plus += 1
-            if any(th(w, z) == edge for w in poset.below[z]):
-                t_plus += 1
-        elif poset.lt(v, u):
-            edge = (v, u)
-            if any(th(z, w) == edge for w in poset.above[z]):
-                s_minus += 1
-            if any(th(w, z) == edge for w in poset.below[z]):
-                t_minus += 1
-        else:
+    for u, v in zip(walk, walk[1:]):
+        b = index.get((u, v))
+        if b is not None:
+            s_plus += b in s_hits
+            t_plus += b in t_hits
+            continue
+        b = index.get((v, u))
+        if b is None:
             raise PreconditionError("walk steps must join comparable elements")
+        s_minus += b in s_hits
+        t_minus += b in t_hits
     return CountStats(s_plus, s_minus, t_plus, t_minus)
 
 
-def _steps_of_walk(poset, walk):
-    """Signed strict-pair indices along a semiwalk (+ up, - down)."""
-    steps = []
-    for i in range(len(walk) - 1):
-        u, v = walk[i], walk[i + 1]
+def _net_steps(poset, walk):
+    """The net signed count of each strict pair along a semiwalk (+1 per
+    up-step, -1 per down-step), pairs in order of first step, zeros dropped."""
+    index = poset.pair_index
+    net = {}
+    for u, v in zip(walk, walk[1:]):
         if poset.lt(u, v):
-            steps.append((poset.pair_index[(u, v)], 1))
+            b, sign = index[(u, v)], 1
         else:
-            steps.append((poset.pair_index[(v, u)], -1))
-    return tuple(steps)
+            b, sign = index[(v, u)], -1
+        net[b] = net.get(b, 0) + sign
+    return tuple((b, count) for b, count in net.items() if count)
 
 
 def _cached_steps(poset, key, walks):
-    """Signed steps of each walk from walks(), kept on the poset instance."""
-    return poset.memo(key, lambda: tuple(_steps_of_walk(poset, w) for w in walks()))
+    """The net step vectors of the walks from walks(), kept on the poset
+    instance: zero vectors dropped and the rest deduplicated up to sign, in
+    order of first occurrence.
+
+    _balanced_on_steps is linear in a walk's net vector and asks only
+    whether a sum is zero, so step order, cancelling steps and the sign of
+    the whole vector do not matter; a simple cycle keeps every step.
+    """
+
+    def build():
+        out = []
+        seen = set()
+        for walk in walks():
+            steps = _net_steps(poset, walk)
+            canon = tuple(sorted(steps))
+            if steps and canon not in seen:
+                seen.add(canon)
+                seen.add(tuple((b, -count) for b, count in canon))
+                out.append(steps)
+        return tuple(out)
+
+    return poset.memo(key, build)
 
 
 def _basis_steps(poset):
@@ -213,20 +229,20 @@ def _semiwalk_steps(poset, max_length):
 
 
 def _balanced_on_steps(poset, inverse_perm, steps_lists):
-    """Check s+ - s- = t+ - t- at every element, for each step list.
+    """Check s+ - s- = t+ - t- at every element, for each net step vector.
 
-    For a step with edge b and sign s, the preimage pair (p, q) of b under
-    theta contributes s to (s+ - s-) at p and s to (t+ - t-) at q, so the
-    identity holds iff the signed difference (delta_p - delta_q) sums to
-    zero over the steps.
+    A pair b taken with net count c, whose preimage under theta is (p, q),
+    contributes c to (s+ - s-) at p and c to (t+ - t-) at q, so the
+    identity holds iff the counted difference (delta_p - delta_q) sums to
+    zero over the vector.
     """
     pairs = poset.strict_pairs
     for steps in steps_lists:
         acc = [0] * poset.n
-        for b, sign in steps:
+        for b, count in steps:
             p, q = pairs[inverse_perm[b]]
-            acc[p] += sign
-            acc[q] -= sign
+            acc[p] += count
+            acc[q] -= count
         if any(acc):
             return False
     return True
@@ -460,6 +476,12 @@ def build_compatible_sigma(poset, theta, field=RATIONALS):
         if x in min_set:
             values[(x, y)] = one
             continue
+        # Unreachable for theta in M.  BOTH marks only two-element chains,
+        # whose one pair starts at a minimal element.  An increasing and a
+        # decreasing chain of theta share a pair only when it spans both
+        # chains (the lemma `verify properties` checks as
+        # incdec_shared_pair_is_span), so x is minimal again.  Every pair
+        # lies on some maximal chain, so seen is never empty either.
         if len(seen) != 1:
             raise WellDefinednessError(
                 "pair (%s, %s) lies on chains of mixed direction"

@@ -90,14 +90,29 @@ def _class_map(classes, action):
     out = []
     for cls in classes:
         definite = {action[c][0] for c in cls.chains} - {Direction.BOTH}
+        # Unreachable for theta in M: linked chains share an element outside
+        # Min and Max, which an increasing and a decreasing chain of theta
+        # never do (the lemma `verify properties` checks as
+        # incdec_shared_element_extremal), and a BOTH chain, x < y with x
+        # minimal and y maximal, is linked to no chain.
         if len(definite) > 1:
             raise WellDefinednessError("direction is not constant on a chain class")
         targets = {lookup[action[c][1]] for c in cls.chains}
+        # Unreachable for theta in M: if c and c' share an interior element
+        # e, then c up to e followed by c' after e is a maximal chain c'' of
+        # the same class, so of the same direction.  It shares with c the
+        # pair ending at e, so theta(c) and theta(c'') share that pair's
+        # image, and that image pair holds an element at e's position, or
+        # its mirror, which is interior to both image chains; likewise for
+        # c'' and c'.  Images of linked chains are linked.
         if len(targets) != 1:
             raise WellDefinednessError(
                 "chains of one class map into %d classes" % len(targets)
             )
         out.append((definite.pop() if definite else Direction.BOTH, targets.pop()))
+    # Unreachable for theta in M: theta permutes the strict pairs and a
+    # chain is fixed by its pairs, so theta permutes the maximal chains;
+    # every class then holds the image of some chain and is hit.
     if sorted(target for _, target in out) != list(range(len(out))):
         raise WellDefinednessError("induced class map is not a bijection")
     return out

@@ -173,6 +173,8 @@ class Poset:
             raise KeyError("no element labeled %r" % (label,)) from None
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, Poset)
             and self.names == other.names

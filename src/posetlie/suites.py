@@ -370,27 +370,35 @@ def properties_block():
     run collapsing, and the crown parity criterion."""
     out = []
 
-    # shared-pair and shared-element facts for inc/dec chain pairs
+    # shared-pair and shared-element facts for inc/dec chain pairs; what a
+    # pair of chains shares does not depend on theta, so it is counted once
+    # per poset and each theta sums it over its inc x dec chain pairs
     violations_pair = 0
     violations_elem = 0
     for name, poset in _small_suite(6):
         chains = poset.maximal_chains
+        extremal = set(poset.min_set) | set(poset.max_set)
+        pair_bad = {}
+        elem_bad = {}
+        for c1 in chains:
+            for c2 in chains:
+                shared = set(c1) & set(c2)
+                pair_bad[c1, c2] = sum(
+                    1
+                    for x in shared
+                    for y in shared
+                    if poset.lt(x, y)
+                    and not (x == c1[0] == c2[0] and y == c1[-1] == c2[-1])
+                )
+                elem_bad[c1, c2] = bool(shared - extremal)
         for theta in bij.enumerate_M(poset):
             action = bij.chain_action(poset, theta)
             inc = [c for c in chains if action[c][0] in (bij.Direction.INCREASING, bij.Direction.BOTH)]
             dec = [c for c in chains if action[c][0] in (bij.Direction.DECREASING, bij.Direction.BOTH)]
             for c1 in inc:
                 for c2 in dec:
-                    shared = set(c1) & set(c2)
-                    for x in shared:
-                        for y in shared:
-                            if poset.lt(x, y) and not (
-                                x == c1[0] == c2[0] and y == c1[-1] == c2[-1]
-                            ):
-                                violations_pair += 1
-                    extremal = set(poset.min_set) | set(poset.max_set)
-                    if shared - extremal:
-                        violations_elem += 1
+                    violations_pair += pair_bad[c1, c2]
+                    violations_elem += elem_bad[c1, c2]
     out.append(_check("incdec_shared_pair_is_span", violations_pair == 0))
     out.append(_check("incdec_shared_element_extremal", violations_elem == 0))
 

@@ -290,3 +290,49 @@ def brute_chain_components(poset):
                 merged = True
                 break
     return sorted(tuple(sorted(g)) for g in groups)
+
+
+def literal_count_stats(poset, theta, walk, z):
+    """The four step counts of count_stats, searching every witness w > z
+    and w < z for a preimage of each step's pair."""
+    from posetlie import CountStats, PreconditionError
+
+    if walk[0] != walk[-1] or len(walk) < 2:
+        raise PreconditionError("walk must be closed")
+    pairs = poset.strict_pairs
+    index = poset.pair_index
+    perm = theta.perm
+
+    def th(a, b):
+        return pairs[perm[index[(a, b)]]]
+
+    s_plus = s_minus = t_plus = t_minus = 0
+    for i in range(len(walk) - 1):
+        u, v = walk[i], walk[i + 1]
+        if poset.lt(u, v):
+            edge = (u, v)
+            if any(th(z, w) == edge for w in poset.above[z]):
+                s_plus += 1
+            if any(th(w, z) == edge for w in poset.below[z]):
+                t_plus += 1
+        elif poset.lt(v, u):
+            edge = (v, u)
+            if any(th(z, w) == edge for w in poset.above[z]):
+                s_minus += 1
+            if any(th(w, z) == edge for w in poset.below[z]):
+                t_minus += 1
+        else:
+            raise PreconditionError("walk steps must join comparable elements")
+    return CountStats(s_plus, s_minus, t_plus, t_minus)
+
+
+def brute_semiwalk_admissible(poset, theta, max_length):
+    """The counting identity at every element on every raw closed semiwalk
+    up to max_length, each walk counted by count_stats."""
+    from posetlie import closed_semiwalks, count_stats
+
+    return all(
+        count_stats(poset, theta, walk, z).balanced()
+        for walk in closed_semiwalks(poset, max_length)
+        for z in range(poset.n)
+    )

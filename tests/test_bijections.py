@@ -15,6 +15,7 @@ from posetlie import (
     PreconditionError,
     build_compatible_sigma,
     chain_action,
+    closed_semiwalks,
     count_stats,
     edge_map_of,
     enumerate_AM,
@@ -47,8 +48,11 @@ from helpers import (
     brute_image_chains,
     brute_is_group,
     brute_monotone,
+    brute_semiwalk_admissible,
+    literal_count_stats,
     mixed_length_posets,
     non_monotone_cases,
+    random_connected_poset,
 )
 
 
@@ -177,6 +181,32 @@ class TestCountStats:
         with pytest.raises(PreconditionError):
             count_stats(p, identity_on(p), (0, 1, 2), 0)
 
+    def test_incomparable_step_rejected(self):
+        p = crown(2)
+        x1, x2, y1 = p.index("x1"), p.index("x2"), p.index("y1")
+        for stats in (count_stats, literal_count_stats):
+            with pytest.raises(PreconditionError, match="comparable elements"):
+                stats(p, identity_on(p), (x1, x2, x1), x1)
+            # closedness is checked before the steps
+            with pytest.raises(PreconditionError, match="walk must be closed"):
+                stats(p, identity_on(p), (x1, x2, y1), x1)
+
+    def test_matches_literal_witness_search(self):
+        for poset in (crown(2), chain(4), kmn(2, 3), example6()):
+            walks = closed_semiwalks(poset, 5)
+            for theta in list(enumerate_M(poset))[:24]:
+                for walk in walks:
+                    for z in range(poset.n):
+                        assert count_stats(poset, theta, walk, z) == (
+                            literal_count_stats(poset, theta, walk, z)
+                        )
+        p = example20()
+        theta = example20_bijection(p)
+        walk = tuple(p.index(v) for v in ("5", "7", "6", "8", "5"))
+        z = p.index("7'")
+        assert literal_count_stats(p, theta, walk, z) == CountStats(0, 0, 0, 1)
+        assert count_stats(p, theta, walk, z) == CountStats(0, 0, 0, 1)
+
 
 class TestAdmissibility:
     def test_identity_everywhere(self):
@@ -189,6 +219,31 @@ class TestAdmissibility:
         theta = example20_bijection(p)
         assert not is_admissible(p, theta)
         assert not is_admissible_oracle(p, theta, 4)
+
+    def test_oracle_matches_counts_on_raw_walks(self):
+        import random
+
+        from posetlie.bijections import _semiwalk_steps
+        from posetlie.suites import _small_suite
+
+        for _, poset in _small_suite(6):
+            for theta in enumerate_M(poset):
+                assert is_admissible_oracle(poset, theta, 6) == (
+                    brute_semiwalk_admissible(poset, theta, 6)
+                )
+        rng = random.Random(83)
+        for _ in range(20):
+            poset = random_connected_poset(rng, rng.randint(4, 6))
+            for theta in enumerate_M(poset, bound=len(poset.strict_pairs)):
+                assert is_admissible_oracle(poset, theta, 5) == (
+                    brute_semiwalk_admissible(poset, theta, 5)
+                )
+        p = example20()
+        theta = example20_bijection(p)
+        assert not is_admissible_oracle(p, theta, 4)
+        assert not brute_semiwalk_admissible(p, theta, 4)
+        # a reduction that dropped every walk would pass any bijection
+        assert _semiwalk_steps(chain(3), 8)
 
     def test_trees_accept_every_bijection(self):
         import itertools

@@ -161,6 +161,29 @@ class TestInducedClassMap:
                 assert sorted(mapping) == list(range(k))
                 assert sorted(mapping.values()) == list(range(k))
 
+    def test_class_map_rejects_ill_defined_actions(self):
+        # no theta in M acts like these (see the raise sites); the chain
+        # actions are written by hand to reach each check
+        from posetlie import Direction
+        from posetlie.chains import _class_map
+
+        p = example6()
+        classes = chain_classes(p)
+        a, b = classes[0].chains
+        c, d = classes[1].chains
+        up, down = Direction.INCREASING, Direction.DECREASING
+        cases = (
+            ({a: (up, a), b: (down, b), c: (up, c), d: (up, d)},
+             "direction is not constant on a chain class"),
+            ({a: (up, a), b: (up, c), c: (up, c), d: (up, d)},
+             "chains of one class map into 2 classes"),
+            ({a: (up, a), b: (up, b), c: (up, a), d: (up, b)},
+             "induced class map is not a bijection"),
+        )
+        for action, message in cases:
+            with pytest.raises(WellDefinednessError, match=message):
+                _class_map(classes, action)
+
 
 class TestSupportMaps:
     def test_identity_gives_identity_on_supports(self):
