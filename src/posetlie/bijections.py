@@ -9,7 +9,9 @@ enumerators return canonical (sorted) results so runs are reproducible.
 from __future__ import annotations
 
 import enum
+import heapq
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -346,8 +348,8 @@ def _check_bound(poset, bound):
 
 
 def _search(poset, walks):
-    """The monotone bijections whose inverse balances on every walk, as
-    sorted raw tuples.
+    """The monotone bijections whose inverse balances on every walk, as a
+    Leaves listing of raw tuples.
 
     The search builds p, the image of each pair: every maximal chain picks
     one of its monotone images from the chain-image table, which fixes the
@@ -362,12 +364,12 @@ def _search(poset, walks):
     only permute the two-element targets among themselves.  The trailing
     ones after the last but one chain that completes a walk are therefore
     swept by itertools.permutations and filtered by the walks left, not
-    searched chain by chain: a crown's one walk, or a tree's none, makes
-    that the whole search.
+    searched chain by chain, and each sweep is kept as one block of a
+    Leaves: a crown's one walk, or a tree's none, makes that the whole search.
     """
     size = len(poset.strict_pairs)
-    if size < 2:  # operator.itemgetter below needs two indices
-        return [tuple(range(size))]
+    if size < 2:
+        return Leaves(poset, {tuple(range(size)): None}, (), ())
     table = _chain_images(poset)
     walk_pairs = [{b for b, _ in steps} for steps in walks]
 
@@ -402,25 +404,11 @@ def _search(poset, walks):
 
     image = [-1] * size  # entries past the current chain are stale
     pre = [-1] * size
-    out = []
-
-    def sweep():
-        row = tuple(pre)
-        slots = [d for d in range(size) if row[d] < 0]
-        extra = iter(range(size, size + len(tail)))
-        pick = operator.itemgetter(*[d if v >= 0 else next(extra) for d, v in enumerate(row)])
-
-        def balanced(leaf):
-            for dst, src in zip(slots, leaf[size:]):
-                image[src] = dst
-            return _balanced_on_steps(poset, image, final)
-
-        leaves = map(row.__add__, itertools.permutations(tail))
-        out.extend(map(pick, filter(balanced, leaves) if final else leaves))
+    blocks = {}
 
     def place(k):
         if k == swept:
-            sweep()
+            blocks[tuple(pre)] = tuple(image)
             return
         old, new, options, checks = levels[k]
         for old_images, new_images in options:
@@ -438,20 +426,74 @@ def _search(poset, walks):
                 pre[dst] = -1
 
     place(0)
-    out.sort()
-    return out
+    return Leaves(poset, blocks, tail, final)
+
+
+class Leaves:
+    """A search's leaves as sweep blocks, sized and listed on demand.  A
+    block maps a row, pre at a sweep with its free slots at -1, to image
+    there.  Its leaves, ascending, fill the slots with the permutations of
+    the sorted tail that balance on the final walks: len(tail)! if none.
+    """
+
+    def __init__(self, poset, blocks, tail, final):
+        self._poset, self._blocks, self._final = poset, blocks, final
+        self._tail = tuple(sorted(tail))
+        self._len = None if final else len(blocks) * math.factorial(len(tail))
+
+    def _block(self, row):
+        if not self._tail:  # also |B| < 2, where itemgetter gives no tuple
+            return iter((row,))
+        extra = iter(range(len(row), len(row) + len(self._tail)))
+        pick = operator.itemgetter(*[d if src >= 0 else next(extra) for d, src in enumerate(row)])
+        fills = itertools.permutations(self._tail)
+        if self._final:
+            slots = [d for d, src in enumerate(row) if src < 0]
+            image = list(self._blocks[row])  # stale at the tail sources
+
+            def balanced(fill):
+                for dst, src in zip(slots, fill):
+                    image[src] = dst
+                return _balanced_on_steps(self._poset, image, self._final)
+
+            fills = filter(balanced, fills)
+        return map(pick, map(row.__add__, fills))
+
+    def __len__(self):
+        if self._len is None:
+            self._len = sum(1 for row in self._blocks for _ in self._block(row))
+        return self._len
+
+    def __iter__(self):
+        out = sorted(itertools.chain.from_iterable(map(self._block, self._blocks)))
+        self._len = len(out)  # list() asks for the length after iter()
+        return map(EdgeBijection, out)
+
+    def __contains__(self, theta):
+        row = tuple(-1 if src in self._tail else src for src in theta.perm)
+        return row in self._blocks and _balanced_on_steps(
+            self._poset, theta.inverse().perm, self._final
+        )
+
+    def first_outside(self, thetas):
+        """The least leaf not among thetas, or None; the merge reads each
+        block only up to its first leaf outside."""
+        perms = {t.perm for t in thetas}
+        merged = heapq.merge(*map(self._block, self._blocks))
+        least = next((t for t in merged if t not in perms), None)
+        return None if least is None else EdgeBijection(least)
 
 
 def enumerate_M(poset, bound=DEFAULT_BOUND):
-    """All monotone bijections, in canonical order (wrapped lazily)."""
+    """All monotone bijections, as a Leaves listing in canonical order."""
     _check_bound(poset, bound)
-    return (EdgeBijection(p) for p in _search(poset, ()))
+    return _search(poset, ())
 
 
 def enumerate_AM(poset, bound=DEFAULT_BOUND):
-    """All admissible monotone bijections, in canonical order."""
+    """All admissible monotone bijections, as a Leaves listing in canonical order."""
     _check_bound(poset, bound)
-    return [EdgeBijection(p) for p in _search(poset, _basis_steps(poset))]
+    return _search(poset, _basis_steps(poset))
 
 
 # -- compatible sign maps --------------------------------------------------------

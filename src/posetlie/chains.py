@@ -239,12 +239,12 @@ def decide_all_proper(poset, bound=DEFAULT_BOUND):
     incidence algebra is proper; a single chain class is reported as the
     sufficient condition it is.
     """
-    # enumerate_AM is sorted, so its first element outside P is min(AM \ P)
+    # AM is counted and searched block by block, never listed
     admissible = enumerate_AM(poset, bound)
-    proper = {t.perm for t in enumerate_P(poset)}
-    if sum(t.perm in proper for t in admissible) != len(proper):
+    proper = enumerate_P(poset)
+    if not all(t in admissible for t in proper):
         raise WellDefinednessError("proper bijections escaped the admissible group")
-    counterexample = next((t for t in admissible if t.perm not in proper), None)
+    counterexample = admissible.first_outside(proper)
     return ProperVerdict(
         all_proper=counterexample is None,
         counterexample=counterexample,

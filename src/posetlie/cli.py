@@ -134,14 +134,12 @@ def cmd_aut(args):
 def cmd_enumerate(args):
     poset = _load_poset(args)
     if args.group == "m":
-        elements = list(bij.enumerate_M(poset, bound=args.bound))
+        elements = bij.enumerate_M(poset, bound=args.bound)  # counted, listed only in JSON
         report = {"order": len(elements)}
-    elif args.group == "am":
-        elements = bij.enumerate_AM(poset, bound=args.bound)
-        report = grp.verify_group(elements).to_json()
     else:
-        elements = bij.enumerate_P(poset)
-        report = grp.verify_group(elements).to_json()
+        am = args.group == "am"
+        group = grp.verify_group(bij.enumerate_AM(poset, args.bound) if am else bij.enumerate_P(poset))
+        elements, report = group.elements, group.to_json()
     if args.format == "json":
         print(
             _dump(

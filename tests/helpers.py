@@ -246,6 +246,19 @@ def random_connected_poset(rng, n, density=0.4):
             continue
 
 
+def random_bipartite_poset(rng, lows, highs, pairs):
+    """A random connected length-one poset with exactly `pairs` strict pairs."""
+    from posetlie import DisconnectedError, Poset
+
+    names = ["x%d" % i for i in range(lows)] + ["y%d" % i for i in range(highs)]
+    every = [(i, lows + j) for i in range(lows) for j in range(highs)]
+    while True:
+        try:
+            return Poset.from_relations(names, rng.sample(every, pairs))
+        except DisconnectedError:
+            continue
+
+
 def non_monotone_cases():
     """Name -> (poset, theta) with theta outside M: on chain:3 it swaps e_12
     and e_13; on example:6 it swaps e_16 and e_36, which breaks only the

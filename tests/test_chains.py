@@ -281,14 +281,21 @@ class TestDecideAllProper:
 
     @pytest.mark.parametrize(
         "poset, bound",
-        [(crown(3), 9), (crown(4), 9), (fence(6), 9), (example20(), 60)],
-        ids=["crown3", "crown4", "fence6", "example20"],
+        [
+            (crown(3), 9), (crown(4), 9), (fence(6), 9), (fence(8), 9),
+            (kmn(2, 5), 10), (example20(), 60),
+        ],
+        ids=["crown3", "crown4", "fence6", "fence8", "kmn2x5", "example20"],
     )
     def test_witness_is_least_admissible_non_proper(self, poset, bound):
         admissible = {t.perm for t in enumerate_AM(poset, bound)}
         proper = {t.perm for t in enumerate_P(poset)}
         verdict = decide_all_proper(poset, bound)
-        assert verdict.counterexample.perm == min(admissible - proper)
+        witness = verdict.counterexample
+        # kmn:2x5 is all proper: no witness
+        assert (None if witness is None else witness.perm) == min(
+            admissible - proper, default=None
+        )
         assert (verdict.am_order, verdict.p_order) == (len(admissible), len(proper))
 
     def test_proper_outside_admissible_is_an_error(self, monkeypatch):

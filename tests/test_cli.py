@@ -69,6 +69,13 @@ def test_enumerate_groups(capsys):
     assert len(data["elements"]) == 8
 
 
+def test_enumerate_m_text_counts_without_listing(capsys):
+    # 9! elements: the text output reports the order without listing them
+    code, out = run(capsys, "enumerate", "m", "--family", "fence:10")
+    assert code == 0
+    assert out == "order: 362880\n"
+
+
 def test_decide_crown3(capsys):
     code, out = run(capsys, "decide", "--family", "crown:3", "--format", "json")
     assert code == 0

@@ -23,6 +23,8 @@ from posetlie import (
 from posetlie.errors import DisconnectedError
 from posetlie.families import from_selector
 
+from helpers import random_bipartite_poset
+
 FAMILIES = [
     "crown:2", "crown:3", "crown:4", "kmn:2x3", "kmn:2x4", "example:6",
     "fence:5", "fence:6", "chain:4", "star:4",
@@ -47,17 +49,6 @@ def three_level(rng, width=3, fan=2):
             continue
         if poset.length == 2:
             return poset
-
-
-def bipartite(rng, lows, highs, pairs):
-    """A random connected length-one poset with exactly `pairs` strict pairs."""
-    names = ["x%d" % i for i in range(lows)] + ["y%d" % i for i in range(highs)]
-    every = [(i, lows + j) for i in range(lows) for j in range(highs)]
-    while True:
-        try:
-            return Poset.from_relations(names, rng.sample(every, pairs))
-        except DisconnectedError:
-            continue
 
 
 def assert_basis_matches_crowns(poset, thetas):
@@ -113,7 +104,7 @@ class TestBasisAgreesWithCrownCriterion:
     def test_all_of_the_symmetric_group_on_bipartite_posets(self):
         rng = random.Random(7)
         for _ in range(3):
-            poset = bipartite(rng, 3, 4, 7)
+            poset = random_bipartite_poset(rng, 3, 4, 7)
             thetas = [
                 EdgeBijection(perm) for perm in itertools.permutations(range(7))
             ]

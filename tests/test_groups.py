@@ -36,7 +36,7 @@ def known_groups():
         poset = from_selector(selector)
         if selector != "kmn:3x3":
             out[selector, "M"] = list(enumerate_M(poset))
-        out[selector, "AM"] = enumerate_AM(poset)
+        out[selector, "AM"] = list(enumerate_AM(poset))
         out[selector, "P"] = enumerate_P(poset)
     return out
 

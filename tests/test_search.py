@@ -1,22 +1,30 @@
 """The one pruned search behind enumerate_M and enumerate_AM: against a
-literal filter of all of S(B), and on sizes the old |B|! scan could not
-reach."""
+literal filter of all of S(B), its sized listing against the leaves it
+lists, and on sizes the old |B|! scan could not reach."""
 
 import itertools
+import random
+import time
 from math import factorial
 
 import pytest
 
-from helpers import brute_monotone, mixed_length_posets
+from helpers import (
+    brute_monotone,
+    mixed_length_posets,
+    random_bipartite_poset,
+    random_connected_poset,
+)
 from posetlie import (
     EdgeBijection,
     decide_all_proper,
     enumerate_AM,
     enumerate_M,
+    enumerate_P,
     parse_poset,
     satisfies_crown_criterion,
 )
-from posetlie.families import from_selector
+from posetlie.families import fence, from_selector
 
 # Length one, with walk pairs and pendant pairs: the pendant chains lie on no
 # walk, so they are swept after the rest.  In kmn:2x3 two walks are checked,
@@ -66,3 +74,55 @@ def test_complete_bipartite_posets_are_all_proper(m, n):
     expected = factorial(m) * factorial(n) * (2 if m == n else 1)
     assert verdict.all_proper
     assert verdict.am_order == verdict.p_order == expected
+
+
+def _seeded_posets():
+    rng = random.Random(11)
+    out = {"random%02d" % k: random_connected_poset(rng, rng.randint(4, 6)) for k in range(20)}
+    out.update(
+        ("bipartite%02d" % k, random_bipartite_poset(rng, 3, 3, rng.randint(5, 6)))
+        for k in range(20)
+    )
+    return out
+
+
+LISTING_CASES = dict(CASES, **_seeded_posets())
+
+
+@pytest.mark.parametrize("name", sorted(LISTING_CASES))
+def test_listing_sizes_tests_and_searches_its_leaves(name):
+    poset = LISTING_CASES[name]
+    size = len(poset.strict_pairs)
+    rng = random.Random(name)
+    proper = enumerate_P(poset)
+    monotone = list(enumerate_M(poset, bound=size))
+    randoms = [EdgeBijection(tuple(rng.sample(range(size), size))) for _ in range(100)]
+    for enumerate_group in (enumerate_M, enumerate_AM):
+        # len() of a listing not yet listed: listing it caches the length
+        counted = len(enumerate_group(poset, bound=size))
+        listing = enumerate_group(poset, bound=size)
+        listed = list(listing)
+        assert counted == len(listed)
+        perms = {t.perm for t in listed}
+        for theta in monotone + randoms:
+            assert (theta in listing) == (theta.perm in perms), theta.perm
+        witness = listing.first_outside(proper)
+        expected = min(perms - {t.perm for t in proper}, default=None)
+        assert (None if witness is None else witness.perm) == expected
+        # past a prefix of the listing the least leaf can sit in any block
+        for k in rng.sample(range(len(listed) + 1), min(len(listed) + 1, 12)):
+            assert listing.first_outside(listed[:k]) == (listed[k] if k < len(listed) else None)
+
+
+@pytest.mark.parametrize("n", [12, 14])
+def test_decide_counts_fences_it_could_not_list(n):
+    # a fence is a tree of two-element chains, so AM is all of S(B)
+    poset = fence(n)
+    start = time.perf_counter()
+    verdict = decide_all_proper(poset, bound=n - 1)
+    elapsed = time.perf_counter() - start
+    assert (verdict.am_order, verdict.p_order) == (factorial(n - 1), 2)
+    proper = {t.perm for t in enumerate_P(poset)}
+    first = next(p for p in itertools.permutations(range(n - 1)) if p not in proper)
+    assert verdict.counterexample.perm == first
+    assert elapsed < 1.0
