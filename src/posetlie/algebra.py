@@ -19,7 +19,6 @@ from .errors import (
     PreconditionError,
 )
 from .fields import RATIONALS
-from .poset import MapKind
 
 
 class IncidenceElement:
@@ -305,13 +304,11 @@ def induced_map(poset, poset_map, field=RATIONALS):
     Sends e_xy to e_{f(x) f(y)} for isomorphisms and to e_{f(y) f(x)} for
     anti-isomorphisms; a permutation of the basis either way.
     """
-    perm = poset_map.perm
-    images = []
-    for x, y in poset.all_pairs:
-        if poset_map.kind == MapKind.ISO:
-            images.append(IncidenceElement.basis(poset, perm[x], perm[y], field))
-        else:
-            images.append(IncidenceElement.basis(poset, perm[y], perm[x], field))
+    kind, f = poset_map.kind, poset_map.perm
+    images = [
+        IncidenceElement.basis(poset, *kind.pair(f, x, y), field)
+        for x, y in poset.all_pairs
+    ]
     return LinearMapOnIA.from_images(poset, images, field)
 
 

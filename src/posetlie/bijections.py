@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .errors import BoundExceeded, PreconditionError, WellDefinednessError
 from .fields import RATIONALS
-from .poset import MapKind, weak_crowns
+from .poset import poset_maps, weak_crowns
 
 DEFAULT_BOUND = 9  # largest |B| the exhaustive search will attempt
 
@@ -290,24 +290,29 @@ def is_admissible_oracle(poset, theta, max_length):
 
 def edge_map_of(poset, poset_map):
     """Restrict the induced basis permutation of a poset map to strict pairs."""
-    perm = []
-    for x, y in poset.strict_pairs:
-        if poset_map.kind == MapKind.ISO:
-            image = (poset_map.perm[x], poset_map.perm[y])
-        else:
-            image = (poset_map.perm[y], poset_map.perm[x])
-        perm.append(poset.pair_index[image])
-    return EdgeBijection(tuple(perm))
+    kind, f = poset_map.kind, poset_map.perm
+    index = poset.pair_index
+    return EdgeBijection(
+        tuple(index[kind.pair(f, x, y)] for x, y in poset.strict_pairs)
+    )
+
+
+def _proper_table(poset):
+    """Each proper perm, mapped to the first poset map (in poset_maps order)
+    that induces it; kept on the poset."""
+
+    def build():
+        table = {}
+        for candidate in poset_maps(poset):
+            table.setdefault(edge_map_of(poset, candidate).perm, candidate)
+        return table
+
+    return poset.memo("proper_table", build)
 
 
 def proper_witness(poset, theta):
     """The poset (anti-)automorphism inducing theta, if one exists."""
-    from .poset import poset_maps
-
-    for candidate in poset_maps(poset):
-        if edge_map_of(poset, candidate).perm == theta.perm:
-            return candidate
-    return None
+    return _proper_table(poset).get(theta.perm)
 
 
 def is_separating(poset, theta):
@@ -328,13 +333,7 @@ def is_separating(poset, theta):
 
 def enumerate_P(poset):
     """All proper bijections, via the poset symmetries, deduplicated."""
-    from .poset import poset_maps
-
-    seen = {}
-    for candidate in poset_maps(poset):
-        theta = edge_map_of(poset, candidate)
-        seen.setdefault(theta.perm, theta)
-    return [seen[p] for p in sorted(seen)]
+    return [EdgeBijection(p) for p in sorted(_proper_table(poset))]
 
 
 def _check_bound(poset, bound):
@@ -535,19 +534,12 @@ def build_compatible_sigma(poset, theta, field=RATIONALS):
 
 def is_compatible(poset, sigma, theta):
     """Whether sigma matches theta's product behaviour on all triples x<y<z."""
-    pairs = poset.strict_pairs
-    index = poset.pair_index
-    perm = theta.perm
-
-    def th(a, b):
-        return pairs[perm[index[(a, b)]]]
-
     for x in range(poset.n):
         for y in poset.above[x]:
             for z in poset.above[y]:
-                left = th(x, y)
-                right = th(y, z)
-                whole = th(x, z)
+                left = theta.apply_pair(poset, (x, y))
+                right = theta.apply_pair(poset, (y, z))
+                whole = theta.apply_pair(poset, (x, z))
                 if left[1] == right[0] and (left[0], right[1]) == whole:
                     if sigma[(x, z)] != sigma[(x, y)] * sigma[(y, z)]:
                         return False

@@ -151,8 +151,6 @@ def support_maps(poset, theta):
     """
     action = chain_action(poset, theta)
     classes = chain_classes(poset)
-    pairs = poset.strict_pairs
-    index = poset.pair_index
     results = []
     for k, (direction, target) in enumerate(_class_map(classes, action)):
         cls = classes[k]
@@ -178,25 +176,21 @@ def support_maps(poset, theta):
         kind = MapKind.ANTI if decreasing else MapKind.ISO
         for x in cls.support:
             for y in cls.support:
-                if kind == MapKind.ISO:
-                    if poset.leq(x, y) != poset.leq(mapping[x], mapping[y]):
-                        raise ExtractionError("image map is not order-preserving")
-                else:
-                    if poset.leq(x, y) != poset.leq(mapping[y], mapping[x]):
-                        raise ExtractionError("image map is not order-reversing")
+                if poset.leq(x, y) != poset.leq(*kind.pair(mapping, x, y)):
+                    raise ExtractionError(
+                        "image map is not order-reversing"
+                        if decreasing
+                        else "image map is not order-preserving"
+                    )
         for x in cls.support:
             for y in cls.support:
-                if poset.lt(x, y):
-                    expected = (
-                        (mapping[y], mapping[x])
-                        if kind == MapKind.ANTI
-                        else (mapping[x], mapping[y])
+                if poset.lt(x, y) and (
+                    theta.apply_pair(poset, (x, y)) != kind.pair(mapping, x, y)
+                ):
+                    raise ExtractionError(
+                        "bijection disagrees with the extracted map on (%s, %s)"
+                        % (poset.names[x], poset.names[y])
                     )
-                    if pairs[theta.perm[index[(x, y)]]] != expected:
-                        raise ExtractionError(
-                            "bijection disagrees with the extracted map on (%s, %s)"
-                            % (poset.names[x], poset.names[y])
-                        )
         results.append(
             SupportMap(k, target, kind, tuple(sorted(mapping.items())))
         )

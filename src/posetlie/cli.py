@@ -54,8 +54,9 @@ def _add_format_flag(sub):
 
 
 def _add_source_flags(sub):
-    sub.add_argument("--family", help="family selector, e.g. crown:3 or kmn:2x3")
-    sub.add_argument("--file", help="path to a poset v1 file")
+    source = sub.add_mutually_exclusive_group()
+    source.add_argument("--family", help="family selector, e.g. crown:3 or kmn:2x3")
+    source.add_argument("--file", help="path to a poset v1 file")
     _add_format_flag(sub)
 
 

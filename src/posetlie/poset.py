@@ -24,6 +24,11 @@ class MapKind(enum.Enum):
     ISO = "iso"
     ANTI = "anti"
 
+    def pair(self, f, x, y):
+        """The image of the pair (x, y) under the element map f, a tuple or
+        a dict: (f(x), f(y)) for an isomorphism, (f(y), f(x)) for an anti one."""
+        return (f[x], f[y]) if self is MapKind.ISO else (f[y], f[x])
+
 
 @dataclass(frozen=True)
 class PosetMap:
@@ -477,20 +482,17 @@ def closed_semiwalks(poset, max_length):
 
 
 def _signatures(poset):
-    # (|below|, |above|, height, depth) is invariant under isomorphism
+    # (|below|, |above|, height, depth) is invariant under isomorphism; the
+    # height of i is the longest chain ending at i, its depth the longest
+    # starting there, in one pass each over a linear extension
+    height = [0] * poset.n
     depth = [0] * poset.n
-    for i in range(poset.n):
-        depth[i] = max(
-            (len(c) - 1 - c.index(i) for c in poset.maximal_chains if i in c),
-            default=0,
-        )
-    heights = [0] * poset.n
-    for i in range(poset.n):
-        heights[i] = max(
-            (c.index(i) for c in poset.maximal_chains if i in c), default=0
-        )
+    for i in poset.linear_extension:
+        height[i] = max((height[j] + 1 for j in poset.below[i]), default=0)
+    for i in reversed(poset.linear_extension):
+        depth[i] = max((depth[j] + 1 for j in poset.above[i]), default=0)
     return tuple(
-        (len(poset.below[i]), len(poset.above[i]), heights[i], depth[i])
+        (len(poset.below[i]), len(poset.above[i]), height[i], depth[i])
         for i in range(poset.n)
     )
 

@@ -306,12 +306,7 @@ def supports_block():
                 for x, y in poset.strict_pairs:
                     if x in lam and y in lam and x in classes[sm.source].support \
                             and y in classes[sm.source].support:
-                        expected = (
-                            (lam[y], lam[x])
-                            if sm.kind == pst.MapKind.ANTI
-                            else (lam[x], lam[y])
-                        )
-                        if theta.apply_pair(poset, (x, y)) != expected:
+                        if theta.apply_pair(poset, (x, y)) != sm.kind.pair(lam, x, y):
                             ok = False
         out.append(_check("supports_extract_%s" % name.replace(":", "_"), ok))
     return out

@@ -53,6 +53,42 @@ def brute_poset_maps(poset):
     return sorted(out)
 
 
+def brute_signatures(poset):
+    """Per element (|below|, |above|, height, depth), reading height and
+    depth off the element's position in every maximal chain through it."""
+    depth = [0] * poset.n
+    for i in range(poset.n):
+        depth[i] = max(
+            (len(c) - 1 - c.index(i) for c in poset.maximal_chains if i in c),
+            default=0,
+        )
+    heights = [0] * poset.n
+    for i in range(poset.n):
+        heights[i] = max(
+            (c.index(i) for c in poset.maximal_chains if i in c), default=0
+        )
+    return tuple(
+        (len(poset.below[i]), len(poset.above[i]), heights[i], depth[i])
+        for i in range(poset.n)
+    )
+
+
+def literal_edge_map(poset, poset_map):
+    """The strict-pair permutation a poset map induces, from the definition:
+    an isomorphism f sends e_xy to e_f(x)f(y), an anti-isomorphism to
+    e_f(y)f(x)."""
+    from posetlie import MapKind
+
+    f = poset_map.perm
+    perm = []
+    for x, y in poset.strict_pairs:
+        if poset_map.kind == MapKind.ISO:
+            perm.append(poset.pair_index[(f[x], f[y])])
+        else:
+            perm.append(poset.pair_index[(f[y], f[x])])
+    return tuple(perm)
+
+
 def brute_weak_crowns(poset):
     """Canonical alternating cycles by scanning every interleaved tuple."""
     found = set()

@@ -50,6 +50,7 @@ from helpers import (
     brute_monotone,
     brute_semiwalk_admissible,
     literal_count_stats,
+    literal_edge_map,
     mixed_length_posets,
     non_monotone_cases,
     random_connected_poset,
@@ -292,6 +293,24 @@ class TestProperWitness:
     def test_crown3_parity_swap_has_no_witness(self):
         poset, theta = crown_parity_swap(3)
         assert proper_witness(poset, theta) is None
+
+    def test_witness_is_first_inducing_map(self):
+        # on every theta of M: the first map in poset_maps order whose
+        # literal edge map is theta, or None; P is the set of those edge maps
+        import random
+
+        rng = random.Random(61)
+        posets = [p for _, p in suite() if len(p.strict_pairs) <= 6]
+        posets += [random_connected_poset(rng, rng.randint(3, 6)) for _ in range(20)]
+        for poset in posets:
+            maps = poset_maps(poset)
+            literal = [literal_edge_map(poset, m) for m in maps]
+            for theta in enumerate_M(poset, bound=len(poset.strict_pairs)):
+                first = next(
+                    (m for m, perm in zip(maps, literal) if perm == theta.perm), None
+                )
+                assert proper_witness(poset, theta) == first
+            assert {t.perm for t in enumerate_P(poset)} == set(literal)
 
     def test_chain2_identity_collapse(self):
         # both poset symmetries restrict to the identity edge bijection

@@ -118,6 +118,17 @@ def test_missing_source_is_usage_error(capsys):
     assert main(["info"]) == 2
 
 
+@pytest.mark.parametrize(
+    "command", [["info"], ["decide"], ["enumerate", "am"]], ids=" ".join
+)
+def test_family_and_file_together_are_usage_error(capsys, command):
+    # the file is not read: argparse refuses the pair before any handler runs
+    with pytest.raises(SystemExit) as exit_info:
+        main(command + ["--family", "crown:3", "--file", "/nonexistent"])
+    assert exit_info.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("spec", ["fp:6", "fp:100000000000000000039"])
 def test_bad_field_is_usage_error(capsys, spec):
     # a modulus of 2^31 or more is refused before any trial division
@@ -147,7 +158,7 @@ def test_bad_file_reports_parse_error(tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("spec", ["fp:7", "fp:2147483647"])
+@pytest.mark.parametrize("spec", ["fp:2", "fp:7", "fp:2147483647"])
 def test_prime_field_flag_accepted(capsys, spec):
     code, out = run(
         capsys, "verify", "algebra", "--field", spec, "--format", "json"

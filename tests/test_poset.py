@@ -14,9 +14,26 @@ from posetlie import (
     poset_maps,
     weak_crowns,
 )
-from posetlie.families import chain, crown, example6, example20, fence, kmn, star
+from posetlie.families import (
+    chain,
+    crown,
+    example6,
+    example20,
+    fence,
+    kmn,
+    star,
+    suite,
+)
+from posetlie.poset import _signatures
 
-from helpers import brute_maximal_chains, brute_poset_maps, brute_weak_crowns
+from helpers import (
+    brute_maximal_chains,
+    brute_poset_maps,
+    brute_signatures,
+    brute_weak_crowns,
+    mixed_length_posets,
+    random_connected_poset,
+)
 
 EXAMPLE6_FILE = """\
 poset v1
@@ -153,6 +170,18 @@ class TestPosetMaps:
                             assert poset.leq(x, y) == poset.leq(m(x), m(y))
                         else:
                             assert poset.leq(x, y) == poset.leq(m(y), m(x))
+
+    def test_signatures_agree_with_chain_scan(self):
+        # one pass over a linear extension gives the heights and depths that
+        # scanning every maximal chain through each element reads off
+        import random
+
+        rng = random.Random(59)
+        posets = [p for _, p in suite()] + list(mixed_length_posets().values())
+        posets.append(example20())
+        posets += [random_connected_poset(rng, rng.randint(2, 9)) for _ in range(40)]
+        for poset in posets:
+            assert _signatures(poset) == brute_signatures(poset)
 
     def test_compose_and_inverse(self):
         poset = crown(3)
