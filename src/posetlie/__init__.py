@@ -20,6 +20,7 @@ from .bijections import (
     CountStats,
     Direction,
     EdgeBijection,
+    admissible_tower,
     build_compatible_sigma,
     chain_action,
     count_stats,
@@ -33,6 +34,7 @@ from .bijections import (
     is_admissible_oracle,
     is_compatible,
     is_separating,
+    preserves_cut_form,
     proper_witness,
     satisfies_crown_criterion,
 )

@@ -1,5 +1,7 @@
 """Edge bijections of the strict-pair basis: monotonicity, admissibility,
-properness, and the exhaustive enumerators for the three bijection groups.
+properness, the exhaustive enumerators for the three bijection groups, and
+AM's stabilizer tower, which sizes AM = M ∩ Aut(Q), Q the exact cut form of
+the comparability graph, without listing it.
 
 An EdgeBijection permutes the canonical index set of B = {(x, y) : x < y}.
 The three groups satisfy proper <= admissible-monotone <= monotone, and the
@@ -9,7 +11,6 @@ enumerators return canonical (sorted) results so runs are reproducible.
 from __future__ import annotations
 
 import enum
-import heapq
 import itertools
 import math
 import operator
@@ -370,31 +371,7 @@ def _search(poset, walks):
     if size < 2:
         return Leaves(poset, {tuple(range(size)): None}, (), ())
     table = _chain_images(poset)
-    walk_pairs = [{b for b, _ in steps} for steps in walks]
-
-    def first_walk(chain):
-        on = set(table[chain][0])
-        return next((w for w, b in enumerate(walk_pairs) if b & on), len(walks))
-
-    chains = sorted(poset.maximal_chains, key=lambda c: (first_walk(c), len(c) == 2))
-    # per chain: its pairs placed by earlier chains, its new pairs, their
-    # images under each option, and the walks that it completes
-    levels = []
-    placed = set()
-    checked = set()
-    for c in chains:
-        sources, options = table[c]
-        old = [k for k, b in enumerate(sources) if b in placed]
-        new = [k for k, b in enumerate(sources) if b not in placed]
-        placed.update(sources)
-        done = [w for w, b in enumerate(walk_pairs) if w not in checked and b <= placed]
-        checked.update(done)
-        levels.append((
-            tuple(sources[k] for k in old),
-            [sources[k] for k in new],
-            [(tuple(dsts[k] for k in old), [dsts[k] for k in new]) for dsts in options],
-            [walks[w] for w in done],
-        ))
+    chains, levels = _levels(poset, walks)
     checking = [k for k, level in enumerate(levels) if level[3]]
     longer = [k for k, c in enumerate(chains) if len(c) > 2]
     swept = 1 + max(checking[-2:-1] + longer[-1:], default=-1)
@@ -426,6 +403,38 @@ def _search(poset, walks):
 
     place(0)
     return Leaves(poset, blocks, tail, final)
+
+
+def _levels(poset, walks):
+    """The maximal chains in search order, taken in the order of the first
+    walk they lie on and two-element chains last, and per chain: its pairs
+    placed by earlier chains, its new pairs, their images under each option,
+    and the walks that it completes."""
+    table = _chain_images(poset)
+    walk_pairs = [{b for b, _ in steps} for steps in walks]
+
+    def first_walk(chain):
+        on = set(table[chain][0])
+        return next((w for w, b in enumerate(walk_pairs) if b & on), len(walks))
+
+    chains = sorted(poset.maximal_chains, key=lambda c: (first_walk(c), len(c) == 2))
+    levels = []
+    placed = set()
+    checked = set()
+    for c in chains:
+        sources, options = table[c]
+        old = [k for k, b in enumerate(sources) if b in placed]
+        new = [k for k, b in enumerate(sources) if b not in placed]
+        placed.update(sources)
+        done = [w for w, b in enumerate(walk_pairs) if w not in checked and b <= placed]
+        checked.update(done)
+        levels.append((
+            tuple(sources[k] for k in old),
+            [sources[k] for k in new],
+            [(tuple(dsts[k] for k in old), [dsts[k] for k in new]) for dsts in options],
+            [walks[w] for w in done],
+        ))
+    return chains, levels
 
 
 class Leaves:
@@ -474,14 +483,6 @@ class Leaves:
             self._poset, theta.inverse().perm, self._final
         )
 
-    def first_outside(self, thetas):
-        """The least leaf not among thetas, or None; the merge reads each
-        block only up to its first leaf outside."""
-        perms = {t.perm for t in thetas}
-        merged = heapq.merge(*map(self._block, self._blocks))
-        least = next((t for t in merged if t not in perms), None)
-        return None if least is None else EdgeBijection(least)
-
 
 def enumerate_M(poset, bound=DEFAULT_BOUND):
     """All monotone bijections, as a Leaves listing in canonical order."""
@@ -493,6 +494,161 @@ def enumerate_AM(poset, bound=DEFAULT_BOUND):
     """All admissible monotone bijections, as a Leaves listing in canonical order."""
     _check_bound(poset, bound)
     return _search(poset, _basis_steps(poset))
+
+
+# -- the cut form and the stabilizer tower of AM ----------------------------------
+
+
+def _cut_form(poset):
+    """det(L0)·Q as integer rows on the strict pairs, kept on the poset.
+
+    Q, the projection onto the cut space of the comparability graph, has
+    Q[e, f] = (d_p - d_q)^T L0^-1 (d_r - d_s) for e = (p, q), f = (r, s), with
+    L0 the Laplacian grounded at element 0 and d_0 = 0.  Fraction-free
+    Gauss-Jordan elimination (Bareiss) turns [L0 | D0], D0 the incidence
+    matrix without row 0, into [det(L0)·I | X]; row e is X[p] - X[q].
+    Permutations are orthogonal, so theta keeps the cycle space, as
+    is_admissible asks, iff it keeps Q: AM = M ∩ Aut(Q).
+    """
+
+    def build():
+        m, pairs = poset.n - 1, poset.strict_pairs
+        rows = []
+        for u in range(1, poset.n):
+            row = [0] * m + [(p == u) - (q == u) for p, q in pairs]
+            for v in poset.above[u] + poset.below[u]:
+                if v:
+                    row[v - 1] = -1
+            row[u - 1] = len(poset.above[u]) + len(poset.below[u])
+            rows.append(row)
+        det = 1  # L0 is positive definite, so no pivot is zero
+        for k, pivot in enumerate(rows):
+            for row in rows:
+                if row is not pivot:
+                    row[:] = [(pivot[k] * a - row[k] * c) // det for a, c in zip(row, pivot)]
+            det = pivot[k]
+        x = [[0] * len(pairs)] + [row[m:] for row in rows]
+        return tuple(tuple(a - b for a, b in zip(x[p], x[q])) for p, q in pairs)
+
+    return poset.memo("cut_form", build)
+
+
+def preserves_cut_form(poset, theta):
+    """Whether Q[theta(a), theta(b)] = Q[a, b] for all strict pairs a, b."""
+    form, perm = _cut_form(poset), theta.perm
+    return all(tuple(map(form[t].__getitem__, perm)) == row for t, row in zip(perm, form))
+
+
+def _fixed_leaf(poset, fixed):
+    """One theta in AM with theta(b) = fixed[b] for b in fixed, as a perm
+    tuple, or None.  The chain options of _search, without walks: each new
+    image must keep Q with every pair placed so far, the fixed pairs placed
+    first.  That also keeps images distinct: e and f with one image would
+    have the same row in Q, and only a 2-cycle would join them."""
+    form = _cut_form(poset)
+    levels = poset.memo("tower_levels", lambda: _levels(poset, ())[1])
+    image, placed = [-1] * len(form), []
+    for b, t in fixed.items():
+        image[b] = t
+        placed.append(b)
+        if any(form[t][image[c]] != form[b][c] for c in placed):
+            return None
+
+    def place(k):
+        if k == len(levels):
+            return tuple(image)
+        old, new, options, _ = levels[k]
+        for old_images, new_images in options:
+            if tuple(map(image.__getitem__, old)) != old_images:
+                continue
+            depth = len(placed)
+            for src, dst in zip(new, new_images):
+                if fixed.get(src, dst) != dst:
+                    break
+                if src not in fixed:
+                    image[src] = dst
+                    placed.append(src)
+                    row, to = form[src], form[dst]
+                    if any(to[image[b]] != row[b] for b in placed):
+                        break
+            else:
+                leaf = place(k + 1)
+                if leaf is not None:
+                    return leaf
+            del placed[depth:]
+        return None
+
+    return place(0)
+
+
+def _close(orbit, gens):
+    """Extend a transversal {point: perm taking the base point there} to
+    the orbit of the group that gens generate."""
+    todo = list(orbit)
+    for s in todo:
+        for g in gens:
+            if g[s] not in orbit:
+                orbit[g[s]] = tuple(map(g.__getitem__, orbit[s]))
+                todo.append(g[s])
+    return orbit
+
+
+class Tower:
+    """A group as a pointwise-stabilizer tower on the base 0, 1, ... (Sims):
+    per level i, a transversal {t: u} with u(i) = t of G_i, the elements
+    fixing every point before i; G_i is trivial past the last level.  Each
+    element is one product u_0 u_1 ..., listed in ascending order."""
+
+    def __init__(self, size, transversals):
+        self._size, self._transversals = size, transversals
+
+    def __len__(self):
+        return math.prod(map(len, self._transversals))
+
+    def __iter__(self):
+        def walk(i, g):
+            if i == len(self._transversals):
+                yield EdgeBijection(g)
+                return
+            level = self._transversals[i]  # an element below u_t maps i to g(t)
+            for t in sorted(level, key=g.__getitem__):
+                yield from walk(i + 1, tuple(map(g.__getitem__, level[t])))
+
+        return walk(0, tuple(range(self._size)))
+
+
+def admissible_tower(poset, bound=DEFAULT_BOUND):
+    """AM = M ∩ Aut(Q) as a Tower, one leaf search per orbit point at most.
+
+    A target t of base point i is a candidate only if it matches i in Q's
+    diagonal, sorted row and entries on the pairs before i; the tower stops
+    where every pair left has its own such invariant.  Levels are built
+    from the last up, so every leaf found so far lies in G_i and closes the
+    orbit of i (McKay's individualization); a candidate outside the closure
+    costs one _fixed_leaf search, and when that fails so does its closure.
+    """
+    _check_bound(poset, bound)
+    form, size = _cut_form(poset), len(poset.strict_pairs)
+    ids = {}  # one id per invariant, shared by every refinement below
+    cell = [ids.setdefault((row[b], tuple(sorted(row))), len(ids)) for b, row in enumerate(form)]
+    candidates = []
+    while len(set(cell[len(candidates):])) < size - len(candidates):
+        i = len(candidates)
+        candidates.append([t for t in range(i, size) if cell[t] == cell[i]])
+        cell = [ids.setdefault((c, row[i]), len(ids)) for c, row in zip(cell, form)]
+    identity, gens, transversals = tuple(range(size)), [], []
+    for i in reversed(range(len(candidates))):
+        orbit, missed = _close({i: identity}, gens), set()
+        for t in candidates[i]:
+            if t not in orbit and t not in missed:
+                leaf = _fixed_leaf(poset, dict(enumerate(identity[:i] + (t,))))
+                if leaf is None:
+                    missed.update(_close({t: identity}, gens))
+                else:
+                    gens.append(leaf)
+                    _close(orbit, gens)
+        transversals.insert(0, orbit)
+    return Tower(size, transversals)
 
 
 # -- compatible sign maps --------------------------------------------------------

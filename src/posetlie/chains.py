@@ -11,9 +11,12 @@ from .bijections import (
     DEFAULT_BOUND,
     Direction,
     EdgeBijection,
+    admissible_tower,
     chain_action,
-    enumerate_AM,
+    enumerate_AM,  # noqa: F401  perfbench/tracer.py wraps chains.enumerate_AM
     enumerate_P,
+    in_M,
+    preserves_cut_form,
 )
 from .errors import ExtractionError, PreconditionError, WellDefinednessError
 from .poset import MapKind
@@ -162,18 +165,31 @@ def support_maps(poset, theta):
             m = len(chain)
             for pos, x in enumerate(chain):
                 y = img[m - 1 - pos] if decreasing else img[pos]
+                # Reached for theta in M outside AM (example20_bijection sends
+                # 7 to 7' and 7''), but only at extremal elements: chains c
+                # and c' through an interior x splice, c up to x and c' after
+                # it, to a chain of the class that shares with c the pair
+                # ending at x and with c' the pair starting at x.
                 if mapping.setdefault(x, y) != y:
                     raise ExtractionError(
                         "element %r gets two images" % (poset.names[x],)
                     )
+        # Unreachable: mapping has every element of every chain of the
+        # class, and chain_classes makes the support exactly that union.
         if sorted(mapping) != list(cls.support):
             raise ExtractionError("support not covered")
+        # Unreachable for theta in M: theta permutes the maximal chains, and
+        # by _class_map the classes too, so the images of this class's chains
+        # are all the chains of the target class, whose union is its support.
         if tuple(sorted(set(mapping.values()))) != target_cls.support:
             raise ExtractionError(
                 "images do not fill the target support (%d vs %d elements)"
                 % (len(set(mapping.values())), len(target_cls.support))
             )
         kind = MapKind.ANTI if decreasing else MapKind.ISO
+        # These two are reached for theta in M outside AM: a pair (x, y) of
+        # the support on no chain of the class, such as a lone two-element
+        # chain, does not follow the map read off the class's chains.
         for x in cls.support:
             for y in cls.support:
                 if poset.leq(x, y) != poset.leq(*kind.pair(mapping, x, y)):
@@ -231,14 +247,26 @@ def decide_all_proper(poset, bound=DEFAULT_BOUND):
 
     Equality of the two groups decides whether every Lie automorphism of the
     incidence algebra is proper; a single chain class is reported as the
-    sufficient condition it is.
+    sufficient condition it is.  AM is sized by its stabilizer tower, never
+    listed.  P <= AM, so they are equal iff |AM| = |P|; otherwise the
+    counterexample is the first tower element, in ascending order, outside
+    P: min(AM \\ P).
     """
-    # AM is counted and searched block by block, never listed
-    admissible = enumerate_AM(poset, bound)
+    admissible = admissible_tower(poset, bound)
     proper = enumerate_P(poset)
-    if not all(t in admissible for t in proper):
+    # P is a group, so it lies in AM once these generators do: per pair i and
+    # target t, the first element of P that fixes every pair before i and
+    # maps i to t, a Schreier transversal of P's tower on the base 0, 1, ...
+    generators = {}
+    for theta in proper:
+        i = next((b for b, t in enumerate(theta.perm) if b != t), len(theta.perm))
+        generators.setdefault(theta.perm[: i + 1], theta)
+    if not all(in_M(poset, t) and preserves_cut_form(poset, t) for t in generators.values()):
         raise WellDefinednessError("proper bijections escaped the admissible group")
-    counterexample = admissible.first_outside(proper)
+    counterexample = None
+    if len(admissible) != len(proper):
+        perms = {t.perm for t in proper}
+        counterexample = next(t for t in admissible if t.perm not in perms)
     return ProperVerdict(
         all_proper=counterexample is None,
         counterexample=counterexample,

@@ -385,3 +385,23 @@ def brute_semiwalk_admissible(poset, theta, max_length):
         for walk in closed_semiwalks(poset, max_length)
         for z in range(poset.n)
     )
+
+
+def listing_decision(poset):
+    """decide's JSON from listings: AM as the sorted listing of the sweep
+    search, P from the proper table, the counterexample as the least listed
+    element outside P, and the chain classes by brute_chain_components."""
+    from posetlie import enumerate_AM, enumerate_P
+
+    admissible = list(enumerate_AM(poset, bound=len(poset.strict_pairs)))
+    proper = {t.perm for t in enumerate_P(poset)}
+    outside = [t for t in admissible if t.perm not in proper]
+    classes = len(brute_chain_components(poset))
+    return {
+        "all_proper": not outside,
+        "am_order": len(admissible),
+        "p_order": len(proper),
+        "class_count": classes,
+        "single_class_sufficient": classes == 1,
+        "counterexample": outside[0].to_json(poset) if outside else None,
+    }

@@ -9,6 +9,7 @@ from posetlie import (
     EdgeBijection,
     ExtractionError,
     MapKind,
+    Poset,
     PreconditionError,
     WellDefinednessError,
     chain_classes,
@@ -16,7 +17,9 @@ from posetlie import (
     edge_map_of,
     enumerate_AM,
     enumerate_P,
+    in_M,
     induced_class_map,
+    is_admissible,
     is_separating,
     linked,
     poset_maps,
@@ -209,8 +212,48 @@ class TestSupportMaps:
 
     def test_example20_extraction_impossible(self):
         p = example20()
-        with pytest.raises(ExtractionError):
+        # 7 is maximal; chains meeting only there map onto chains ending at
+        # 7' and at 7''
+        with pytest.raises(ExtractionError, match="'7' gets two images"):
             support_maps(p, example20_bijection(p))
+
+    @pytest.mark.parametrize(
+        "relations, perm, message",
+        [
+            # the lone chains e2<e5 and e2<e6 swap, while the class of
+            # e0<e1<e6 and e2<e3<e4, whose support holds e2 and e6, is fixed
+            (
+                [(0, 1), (0, 3), (0, 4), (0, 6), (1, 3), (1, 4), (1, 6), (2, 3),
+                 (2, 4), (2, 5), (2, 6), (3, 4)],
+                (0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 9, 11),
+                r"disagrees with the extracted map on \(e2, e6\)",
+            ),
+            # e1<e2<e5 and e1<e2<e6 swap, so e5 and e6 do; the lone chain
+            # e0<e5 stays, and e0 < e5 while e0 and e6 are incomparable
+            (
+                [(0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6),
+                 (2, 3), (2, 4), (2, 5), (2, 6), (3, 4)],
+                (0, 1, 2, 3, 4, 5, 7, 6, 8, 9, 11, 10, 12),
+                "not order-preserving",
+            ),
+            (
+                [(0, 1), (0, 3), (0, 5), (0, 6), (0, 7), (1, 3), (1, 5), (1, 6),
+                 (1, 7), (2, 5), (2, 7), (4, 5), (4, 6), (4, 7), (5, 7)],
+                (14, 10, 8, 13, 4, 9, 6, 11, 2, 7, 3, 5, 12, 1, 0),
+                "not order-reversing",
+            ),
+        ],
+        ids=["disagrees", "not-preserving", "not-reversing"],
+    )
+    def test_monotone_outside_am_reaches_the_order_checks(self, relations, perm, message):
+        # a pair of the support on no chain of the class is not tied to the
+        # map read off the class's chains
+        n = 1 + max(map(max, relations))
+        poset = Poset.from_relations(["e%d" % i for i in range(n)], relations)
+        theta = EdgeBijection(perm)
+        assert in_M(poset, theta) and not is_admissible(poset, theta)
+        with pytest.raises(ExtractionError, match=message):
+            support_maps(poset, theta)
 
     def test_admissible_always_extracts_off_family(self):
         for poset in mixed_length_posets().values():

@@ -17,6 +17,7 @@ from helpers import (
 )
 from posetlie import (
     EdgeBijection,
+    admissible_tower,
     decide_all_proper,
     enumerate_AM,
     enumerate_M,
@@ -94,7 +95,6 @@ def test_listing_sizes_tests_and_searches_its_leaves(name):
     poset = LISTING_CASES[name]
     size = len(poset.strict_pairs)
     rng = random.Random(name)
-    proper = enumerate_P(poset)
     monotone = list(enumerate_M(poset, bound=size))
     randoms = [EdgeBijection(tuple(rng.sample(range(size), size))) for _ in range(100)]
     for enumerate_group in (enumerate_M, enumerate_AM):
@@ -106,12 +106,12 @@ def test_listing_sizes_tests_and_searches_its_leaves(name):
         perms = {t.perm for t in listed}
         for theta in monotone + randoms:
             assert (theta in listing) == (theta.perm in perms), theta.perm
-        witness = listing.first_outside(proper)
-        expected = min(perms - {t.perm for t in proper}, default=None)
-        assert (None if witness is None else witness.perm) == expected
-        # past a prefix of the listing the least leaf can sit in any block
-        for k in rng.sample(range(len(listed) + 1), min(len(listed) + 1, 12)):
-            assert listing.first_outside(listed[:k]) == (listed[k] if k < len(listed) else None)
+    # the tower lists AM in the listing's order, and decide's witness, its
+    # first element outside P, is the least element of the listing outside P
+    assert list(admissible_tower(poset, bound=size)) == listed
+    witness = decide_all_proper(poset, bound=size).counterexample
+    expected = min(perms - {t.perm for t in enumerate_P(poset)}, default=None)
+    assert (None if witness is None else witness.perm) == expected
 
 
 @pytest.mark.parametrize("n", [12, 14])
