@@ -625,7 +625,7 @@ def admissible_tower(poset, bound=DEFAULT_BOUND):
     where every pair left has its own such invariant.  Levels are built
     from the last up, so every leaf found so far lies in G_i and closes the
     orbit of i (McKay's individualization); a candidate outside the closure
-    costs one _fixed_leaf search, and when that fails so does its closure.
+    costs one _fixed_leaf search.
     """
     _check_bound(poset, bound)
     form, size = _cut_form(poset), len(poset.strict_pairs)
@@ -638,13 +638,11 @@ def admissible_tower(poset, bound=DEFAULT_BOUND):
         cell = [ids.setdefault((c, row[i]), len(ids)) for c, row in zip(cell, form)]
     identity, gens, transversals = tuple(range(size)), [], []
     for i in reversed(range(len(candidates))):
-        orbit, missed = _close({i: identity}, gens), set()
+        orbit = _close({i: identity}, gens)
         for t in candidates[i]:
-            if t not in orbit and t not in missed:
+            if t not in orbit:
                 leaf = _fixed_leaf(poset, dict(enumerate(identity[:i] + (t,))))
-                if leaf is None:
-                    missed.update(_close({t: identity}, gens))
-                else:
+                if leaf is not None:
                     gens.append(leaf)
                     _close(orbit, gens)
         transversals.insert(0, orbit)
