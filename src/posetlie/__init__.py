@@ -20,7 +20,6 @@ from .bijections import (
     CountStats,
     Direction,
     EdgeBijection,
-    admissible_tower,
     build_compatible_sigma,
     chain_action,
     count_stats,

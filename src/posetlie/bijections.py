@@ -1,7 +1,8 @@
 """Edge bijections of the strict-pair basis: monotonicity, admissibility,
-properness, the exhaustive enumerators for the three bijection groups, and
-AM's stabilizer tower, which sizes AM = M ∩ Aut(Q), Q the exact cut form of
-the comparability graph, without listing it.
+properness, and the exhaustive enumerators for the three bijection groups.
+M comes from a pruned search over chain images, AM from a stabilizer tower
+of AM = M ∩ Aut(Q), Q the exact cut form of the comparability graph, sized
+without listing it, and P from the poset symmetries.
 
 An EdgeBijection permutes the canonical index set of B = {(x, y) : x < y}.
 The three groups satisfy proper <= admissible-monotone <= monotone, and the
@@ -347,46 +348,37 @@ def _check_bound(poset, bound):
         )
 
 
-def _search(poset, walks):
-    """The monotone bijections whose inverse balances on every walk, as a
-    Leaves listing of raw tuples.
+def _search(poset):
+    """The monotone bijections, as a Leaves listing of raw tuples.
 
     The search builds p, the image of each pair: every maximal chain picks
     one of its monotone images from the chain-image table, which fixes the
-    images of its pairs, and clashing choices are cut.  The identity on a walk reads
-    only the images under p of the walk's own pairs, so a walk is checked
-    at the first chain after which all of its pairs have one; chains are
-    taken in the order of the first walk they lie on.  A leaf records pre,
-    the inverse of p: M is a group, so the leaves still run over M, and p
-    is exactly the inverse the identity needs.
+    images of its pairs, and clashing choices are cut.  A leaf records pre,
+    the inverse of p; M is a group, so the leaves still run over M.
 
     A pair of a two-element chain lies on no other chain, so these chains
-    only permute the two-element targets among themselves.  The trailing
-    ones after the last but one chain that completes a walk are therefore
-    swept by itertools.permutations and filtered by the walks left, not
+    only permute the two-element targets among themselves.  The ones after
+    the last longer chain are therefore swept by itertools.permutations, not
     searched chain by chain, and each sweep is kept as one block of a
-    Leaves: a crown's one walk, or a tree's none, makes that the whole search.
+    Leaves: at length one that makes the sweep the whole search.
     """
     size = len(poset.strict_pairs)
     if size < 2:
-        return Leaves(poset, {tuple(range(size)): None}, (), ())
+        return Leaves({tuple(range(size))}, ())
     table = _chain_images(poset)
-    chains, levels = _levels(poset, walks)
-    checking = [k for k, level in enumerate(levels) if level[3]]
-    longer = [k for k, c in enumerate(chains) if len(c) > 2]
-    swept = 1 + max(checking[-2:-1] + longer[-1:], default=-1)
+    chains, levels = _levels(poset)
+    swept = 1 + max((k for k, c in enumerate(chains) if len(c) > 2), default=-1)
     tail = [table[c][0][0] for c in chains[swept:]]
-    final = [steps for level in levels[swept:] for steps in level[3]]
 
     image = [-1] * size  # entries past the current chain are stale
     pre = [-1] * size
-    blocks = {}
+    blocks = set()
 
     def place(k):
         if k == swept:
-            blocks[tuple(pre)] = tuple(image)
+            blocks.add(tuple(pre))
             return
-        old, new, options, checks = levels[k]
+        old, new, options = levels[k]
         for old_images, new_images in options:
             if (
                 tuple(map(image.__getitem__, old)) != old_images
@@ -396,104 +388,67 @@ def _search(poset, walks):
             for src, dst in zip(new, new_images):
                 image[src] = dst
                 pre[dst] = src
-            if not checks or _balanced_on_steps(poset, image, checks):
-                place(k + 1)
+            place(k + 1)
             for dst in new_images:
                 pre[dst] = -1
 
     place(0)
-    return Leaves(poset, blocks, tail, final)
+    return Leaves(blocks, tail)
 
 
-def _levels(poset, walks):
-    """The maximal chains in search order, taken in the order of the first
-    walk they lie on and two-element chains last, and per chain: its pairs
-    placed by earlier chains, its new pairs, their images under each option,
-    and the walks that it completes."""
+def _levels(poset):
+    """The maximal chains in search order, two-element chains last, and per
+    chain: its pairs placed by earlier chains, its new pairs, and their
+    images under each option."""
     table = _chain_images(poset)
-    walk_pairs = [{b for b, _ in steps} for steps in walks]
-
-    def first_walk(chain):
-        on = set(table[chain][0])
-        return next((w for w, b in enumerate(walk_pairs) if b & on), len(walks))
-
-    chains = sorted(poset.maximal_chains, key=lambda c: (first_walk(c), len(c) == 2))
+    chains = sorted(poset.maximal_chains, key=lambda c: len(c) == 2)
     levels = []
     placed = set()
-    checked = set()
     for c in chains:
         sources, options = table[c]
         old = [k for k, b in enumerate(sources) if b in placed]
         new = [k for k, b in enumerate(sources) if b not in placed]
         placed.update(sources)
-        done = [w for w, b in enumerate(walk_pairs) if w not in checked and b <= placed]
-        checked.update(done)
         levels.append((
             tuple(sources[k] for k in old),
             [sources[k] for k in new],
             [(tuple(dsts[k] for k in old), [dsts[k] for k in new]) for dsts in options],
-            [walks[w] for w in done],
         ))
     return chains, levels
 
 
 class Leaves:
     """A search's leaves as sweep blocks, sized and listed on demand.  A
-    block maps a row, pre at a sweep with its free slots at -1, to image
-    there.  Its leaves, ascending, fill the slots with the permutations of
-    the sorted tail that balance on the final walks: len(tail)! if none.
+    block is a row, pre at a sweep with its free slots at -1.  Its leaves,
+    ascending, fill the slots with the permutations of the sorted tail.
     """
 
-    def __init__(self, poset, blocks, tail, final):
-        self._poset, self._blocks, self._final = poset, blocks, final
+    def __init__(self, blocks, tail):
+        self._blocks = blocks
         self._tail = tuple(sorted(tail))
-        self._len = None if final else len(blocks) * math.factorial(len(tail))
 
     def _block(self, row):
         if not self._tail:  # also |B| < 2, where itemgetter gives no tuple
             return iter((row,))
         extra = iter(range(len(row), len(row) + len(self._tail)))
         pick = operator.itemgetter(*[d if src >= 0 else next(extra) for d, src in enumerate(row)])
-        fills = itertools.permutations(self._tail)
-        if self._final:
-            slots = [d for d, src in enumerate(row) if src < 0]
-            image = list(self._blocks[row])  # stale at the tail sources
-
-            def balanced(fill):
-                for dst, src in zip(slots, fill):
-                    image[src] = dst
-                return _balanced_on_steps(self._poset, image, self._final)
-
-            fills = filter(balanced, fills)
-        return map(pick, map(row.__add__, fills))
+        return map(pick, map(row.__add__, itertools.permutations(self._tail)))
 
     def __len__(self):
-        if self._len is None:
-            self._len = sum(1 for row in self._blocks for _ in self._block(row))
-        return self._len
+        return len(self._blocks) * math.factorial(len(self._tail))
 
     def __iter__(self):
         out = sorted(itertools.chain.from_iterable(map(self._block, self._blocks)))
-        self._len = len(out)  # list() asks for the length after iter()
         return map(EdgeBijection, out)
 
     def __contains__(self, theta):
-        row = tuple(-1 if src in self._tail else src for src in theta.perm)
-        return row in self._blocks and _balanced_on_steps(
-            self._poset, theta.inverse().perm, self._final
-        )
+        return tuple(-1 if src in self._tail else src for src in theta.perm) in self._blocks
 
 
 def enumerate_M(poset, bound=DEFAULT_BOUND):
     """All monotone bijections, as a Leaves listing in canonical order."""
     _check_bound(poset, bound)
-    return _search(poset, ())
-
-
-def enumerate_AM(poset, bound=DEFAULT_BOUND):
-    """All admissible monotone bijections, as a Leaves listing in canonical order."""
-    _check_bound(poset, bound)
-    return _search(poset, _basis_steps(poset))
+    return _search(poset)
 
 
 # -- the cut form and the stabilizer tower of AM ----------------------------------
@@ -541,12 +496,12 @@ def preserves_cut_form(poset, theta):
 
 def _fixed_leaf(poset, fixed):
     """One theta in AM with theta(b) = fixed[b] for b in fixed, as a perm
-    tuple, or None.  The chain options of _search, without walks: each new
-    image must keep Q with every pair placed so far, the fixed pairs placed
-    first.  That also keeps images distinct: e and f with one image would
-    have the same row in Q, and only a 2-cycle would join them."""
+    tuple, or None.  The chain options of _search: each new image must keep
+    Q with every pair placed so far, the fixed pairs placed first.  That
+    also keeps images distinct: e and f with one image would have the same
+    row in Q, and only a 2-cycle would join them."""
     form = _cut_form(poset)
-    levels = poset.memo("tower_levels", lambda: _levels(poset, ())[1])
+    levels = poset.memo("tower_levels", lambda: _levels(poset)[1])
     image, placed = [-1] * len(form), []
     for b, t in fixed.items():
         image[b] = t
@@ -557,7 +512,7 @@ def _fixed_leaf(poset, fixed):
     def place(k):
         if k == len(levels):
             return tuple(image)
-        old, new, options, _ = levels[k]
+        old, new, options = levels[k]
         for old_images, new_images in options:
             if tuple(map(image.__getitem__, old)) != old_images:
                 continue
@@ -617,8 +572,9 @@ class Tower:
         return walk(0, tuple(range(self._size)))
 
 
-def admissible_tower(poset, bound=DEFAULT_BOUND):
-    """AM = M ∩ Aut(Q) as a Tower, one leaf search per orbit point at most.
+def enumerate_AM(poset, bound=DEFAULT_BOUND):
+    """All admissible monotone bijections, AM = M ∩ Aut(Q), as a Tower in
+    canonical order, one leaf search per orbit point at most.
 
     A target t of base point i is a candidate only if it matches i in Q's
     diagonal, sorted row and entries on the pairs before i; the tower stops

@@ -11,9 +11,8 @@ from .bijections import (
     DEFAULT_BOUND,
     Direction,
     EdgeBijection,
-    admissible_tower,
     chain_action,
-    enumerate_AM,  # noqa: F401  perfbench/tracer.py wraps chains.enumerate_AM
+    enumerate_AM,
     enumerate_P,
     in_M,
     preserves_cut_form,
@@ -252,7 +251,7 @@ def decide_all_proper(poset, bound=DEFAULT_BOUND):
     counterexample is the first tower element, in ascending order, outside
     P: min(AM \\ P).
     """
-    admissible = admissible_tower(poset, bound)
+    admissible = enumerate_AM(poset, bound)
     proper = enumerate_P(poset)
     # P is a group, so it lies in AM once these generators do: per pair i and
     # target t, the first element of P that fixes every pair before i and

@@ -286,6 +286,10 @@ def random_bipartite_poset(rng, lows, highs, pairs):
     """A random connected length-one poset with exactly `pairs` strict pairs."""
     from posetlie import DisconnectedError, Poset
 
+    if pairs < lows + highs - 1:
+        raise ValueError(
+            "%d pairs cannot connect %d elements" % (pairs, lows + highs)
+        )
     names = ["x%d" % i for i in range(lows)] + ["y%d" % i for i in range(highs)]
     every = [(i, lows + j) for i in range(lows) for j in range(highs)]
     while True:
@@ -387,13 +391,24 @@ def brute_semiwalk_admissible(poset, theta, max_length):
     )
 
 
-def listing_decision(poset):
-    """decide's JSON from listings: AM as the sorted listing of the sweep
-    search, P from the proper table, the counterexample as the least listed
-    element outside P, and the chain classes by brute_chain_components."""
-    from posetlie import enumerate_AM, enumerate_P
+def filtered_AM(poset):
+    """AM without Q: the listing of M, in canonical order, filtered by the
+    cycle-basis test."""
+    from posetlie import enumerate_M, is_admissible
 
-    admissible = list(enumerate_AM(poset, bound=len(poset.strict_pairs)))
+    return [
+        t for t in enumerate_M(poset, bound=len(poset.strict_pairs))
+        if is_admissible(poset, t)
+    ]
+
+
+def listing_decision(poset):
+    """decide's JSON from listings: AM by filtered_AM, P from the proper
+    table, the counterexample as the least listed element outside P, and the
+    chain classes by brute_chain_components."""
+    from posetlie import enumerate_P
+
+    admissible = filtered_AM(poset)
     proper = {t.perm for t in enumerate_P(poset)}
     outside = [t for t in admissible if t.perm not in proper]
     classes = len(brute_chain_components(poset))

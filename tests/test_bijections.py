@@ -416,7 +416,7 @@ class TestEnumerators:
             list(enumerate_M(crown(5)))
         with pytest.raises(BoundExceeded):
             enumerate_AM(crown(3), bound=5)
-        # raising the bound unlocks the sweep
+        # raising the bound lets the tower be built
         assert len(enumerate_AM(crown(4), bound=8)) == 2 * factorial(4) ** 2
 
     def test_containments(self):

@@ -18,7 +18,12 @@ from posetlie import (
 from posetlie import linalg
 from posetlie.algebra import IncidenceElement
 
-from helpers import brute_monotone, brute_poset_maps, random_connected_poset
+from helpers import (
+    brute_monotone,
+    brute_poset_maps,
+    random_bipartite_poset,
+    random_connected_poset,
+)
 
 
 def sample(seed, count, n):
@@ -84,3 +89,9 @@ def test_support_maps_extract_for_admissible(poset):
     classes = chain_classes(poset)
     for theta in enumerate_AM(poset):
         assert len(support_maps(poset, theta)) == len(classes)
+
+
+def test_random_bipartite_poset_rejects_pairs_too_few_to_connect():
+    # 3 + 4 elements need 6 pairs to be connected, so no sample of 5 is
+    with pytest.raises(ValueError):
+        random_bipartite_poset(random.Random(0), 3, 4, 5)

@@ -1,6 +1,7 @@
-"""The one pruned search behind enumerate_M and enumerate_AM: against a
-literal filter of all of S(B), its sized listing against the leaves it
-lists, and on sizes the old |B|! scan could not reach."""
+"""enumerate_M's pruned search and enumerate_AM's stabilizer tower: both
+against a literal filter of all of S(B), M's sized listing against the
+leaves it lists, the tower against M filtered by the cycle-basis test, and
+on sizes the old |B|! scan could not reach."""
 
 import itertools
 import random
@@ -11,13 +12,13 @@ import pytest
 
 from helpers import (
     brute_monotone,
+    filtered_AM,
     mixed_length_posets,
     random_bipartite_poset,
     random_connected_poset,
 )
 from posetlie import (
     EdgeBijection,
-    admissible_tower,
     decide_all_proper,
     enumerate_AM,
     enumerate_M,
@@ -27,9 +28,8 @@ from posetlie import (
 )
 from posetlie.families import fence, from_selector
 
-# Length one, with walk pairs and pendant pairs: the pendant chains lie on no
-# walk, so they are swept after the rest.  In kmn:2x3 two walks are checked,
-# so the sweep starts partway through the search.
+# Length one, with cycle pairs and a pendant pair: the pendant pair is a
+# bridge, so Q tells it apart from the pairs on cycles.
 PENDANTS = {
     "crown2_pendant": (
         "poset v1\nelements: x1 x2 y1 y2 z\n"
@@ -95,22 +95,23 @@ def test_listing_sizes_tests_and_searches_its_leaves(name):
     poset = LISTING_CASES[name]
     size = len(poset.strict_pairs)
     rng = random.Random(name)
-    monotone = list(enumerate_M(poset, bound=size))
+    listing = enumerate_M(poset, bound=size)
+    monotone = list(listing)
+    assert len(listing) == len(monotone)
+    perms = {t.perm for t in monotone}
     randoms = [EdgeBijection(tuple(rng.sample(range(size), size))) for _ in range(100)]
-    for enumerate_group in (enumerate_M, enumerate_AM):
-        # len() of a listing not yet listed: listing it caches the length
-        counted = len(enumerate_group(poset, bound=size))
-        listing = enumerate_group(poset, bound=size)
-        listed = list(listing)
-        assert counted == len(listed)
-        perms = {t.perm for t in listed}
-        for theta in monotone + randoms:
-            assert (theta in listing) == (theta.perm in perms), theta.perm
-    # the tower lists AM in the listing's order, and decide's witness, its
-    # first element outside P, is the least element of the listing outside P
-    assert list(admissible_tower(poset, bound=size)) == listed
+    for theta in monotone + randoms:
+        assert (theta in listing) == (theta.perm in perms), theta.perm
+    # the tower lists AM in the order of M's listing filtered by the
+    # cycle-basis test, and decide's witness, its first element outside P,
+    # is the least element of AM outside P
+    tower = enumerate_AM(poset, bound=size)
+    admissible = filtered_AM(poset)
+    assert len(tower) == len(admissible)
+    assert list(tower) == admissible
     witness = decide_all_proper(poset, bound=size).counterexample
-    expected = min(perms - {t.perm for t in enumerate_P(poset)}, default=None)
+    proper = {t.perm for t in enumerate_P(poset)}
+    expected = min({t.perm for t in admissible} - proper, default=None)
     assert (None if witness is None else witness.perm) == expected
 
 
