@@ -149,41 +149,61 @@ def in_M(poset, theta):
 # -- the counting identity ----------------------------------------------------
 
 
+def _step_table(poset):
+    """The signed step table, kept on the poset: each step (u, v) between
+    comparable elements maps to (pair index, +1 for an up-step or -1 for a
+    down-step), and each element z to the pair indices of (z, w), w > z,
+    and of (w, z), w < z."""
+
+    def build():
+        steps = {}
+        ups = [[] for _ in range(poset.n)]
+        downs = [[] for _ in range(poset.n)]
+        for b, (x, y) in enumerate(poset.strict_pairs):
+            steps[x, y] = (b, 1)
+            steps[y, x] = (b, -1)
+            ups[x].append(b)
+            downs[y].append(b)
+        return steps, ups, downs
+
+    return poset.memo("step_table", build)
+
+
 def count_stats(poset, theta, walk, z):
     """The four step counts, computed literally: a step counts toward s when
     its pair is theta(z, w) for some w > z, toward t when it is theta(w, z)
     for some w < z, with + for an up-step and - for a down-step."""
     if walk[0] != walk[-1] or len(walk) < 2:
         raise PreconditionError("walk must be closed")
-    index = poset.pair_index
+    steps, ups, downs = _step_table(poset)
     perm = theta.perm
-    s_hits = {perm[index[(z, w)]] for w in poset.above[z]}
-    t_hits = {perm[index[(w, z)]] for w in poset.below[z]}
+    s_hits = {perm[b] for b in ups[z]}
+    t_hits = {perm[b] for b in downs[z]}
     s_plus = s_minus = t_plus = t_minus = 0
-    for u, v in zip(walk, walk[1:]):
-        b = index.get((u, v))
-        if b is not None:
-            s_plus += b in s_hits
-            t_plus += b in t_hits
-            continue
-        b = index.get((v, u))
-        if b is None:
+    for step in zip(walk, walk[1:]):
+        hit = steps.get(step)
+        if hit is None:
             raise PreconditionError("walk steps must join comparable elements")
-        s_minus += b in s_hits
-        t_minus += b in t_hits
+        b, sign = hit
+        if b in s_hits:
+            if sign > 0:
+                s_plus += 1
+            else:
+                s_minus += 1
+        if b in t_hits:
+            if sign > 0:
+                t_plus += 1
+            else:
+                t_minus += 1
     return CountStats(s_plus, s_minus, t_plus, t_minus)
 
 
 def _net_steps(poset, walk):
     """The net signed count of each strict pair along a semiwalk (+1 per
     up-step, -1 per down-step), pairs in order of first step, zeros dropped."""
-    index = poset.pair_index
+    steps = _step_table(poset)[0]
     net = {}
-    for u, v in zip(walk, walk[1:]):
-        if poset.lt(u, v):
-            b, sign = index[(u, v)], 1
-        else:
-            b, sign = index[(v, u)], -1
+    for b, sign in map(steps.__getitem__, zip(walk, walk[1:])):
         net[b] = net.get(b, 0) + sign
     return tuple((b, count) for b, count in net.items() if count)
 

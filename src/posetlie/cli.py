@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 bound exceeded.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -142,15 +143,15 @@ def cmd_enumerate(args):
         group = grp.verify_group(bij.enumerate_AM(poset, args.bound) if am else bij.enumerate_P(poset))
         elements, report = group.elements, group.to_json()
     if args.format == "json":
-        print(
-            _dump(
-                {
-                    "group": args.group,
-                    "structure": report,
-                    "elements": [t.to_json(poset) for t in elements],
-                }
-            )
-        )
+        # keys are sorted, so "elements" comes first: stream it in chunks
+        # rather than hold every element's JSON at once
+        sys.stdout.write('{"elements":[')
+        items = iter(elements)
+        sep = ""
+        while chunk := [t.to_json(poset) for t in itertools.islice(items, 1024)]:
+            sys.stdout.write(sep + _dump(chunk)[1:-1])
+            sep = ","
+        print("]," + _dump({"group": args.group, "structure": report})[1:])
     else:
         print("order: %d" % len(elements))
         if "element_order_histogram" in report:

@@ -78,20 +78,6 @@ class WeakCrown:
         return tuple(walk)
 
 
-def _canonical_crown(mins, maxs):
-    k = len(mins)
-    # reversal: traverse the cycle backwards starting from mins[0]
-    rev_mins = (mins[0],) + tuple(reversed(mins[1:]))
-    rev_maxs = tuple(reversed(maxs))
-    best = None
-    for xs, ys in ((tuple(mins), tuple(maxs)), (rev_mins, rev_maxs)):
-        for r in range(k):
-            cand = (xs[r:] + xs[:r], ys[r:] + ys[:r])
-            if best is None or cand < best:
-                best = cand
-    return best
-
-
 class Poset:
     """A finite connected partial order on indexed elements."""
 
@@ -396,60 +382,55 @@ def weak_crowns(poset):
     A weak crown is recorded as its alternating-cycle labeling; the same
     2k-element subset can carry several inequivalent labelings and each is
     returned once.
-    """
-    found = set()
-    lt = poset.lt
-    above = poset.above
-    below = poset.below
 
-    # rotations keep low positions low, so each cycle is generated with its
-    # smallest low element first; later lows must stay above the anchor
-    def can_close(anchor, high, used):
-        # an alternating search from a candidate high, over unused elements
-        # and lows above the anchor, for a high that closes back to it
-        if lt(anchor, high):
-            return True
-        seen = {high}
-        stack = [high]
-        while stack:
-            y = stack.pop()
-            for x in below[y]:
-                if x > anchor and x not in used and x not in seen:
-                    seen.add(x)
-                    for z in above[x]:
-                        if z not in used and z not in seen:
-                            if lt(anchor, z):
-                                return True
-                            seen.add(z)
-                            stack.append(z)
-        return False
+    The search generates each cycle once: from its least low x1, in the
+    orientation whose first high is below its last (y1 < yk by index).
+    Up-sets and used elements are integer bitsets.  After each chosen low
+    it computes, once, the highs that can still close the cycle: the free
+    highs above x1 past y1, and every free high sharing a free low (past
+    x1) with one of those, to a fixpoint.  Only those are tried next.
+    """
+    above, below = poset.above, poset.below
+    up = [sum(1 << j for j in row) for row in above]
+    lows = [[x for x in range(a + 1, poset.n) if up[x]] for a in range(poset.n)]
+    found = []
+
+    def closable(anchor, first, used):
+        free = ~used
+        reach = up[anchor] & free & -(2 << first)
+        while reach:
+            grown = reach
+            for x in lows[anchor]:
+                if up[x] & grown and free >> x & 1:
+                    grown |= up[x] & free
+            if grown == reach:
+                break
+            reach = grown
+        return reach
 
     def extend(mins, maxs, used):
-        anchor = mins[0]
-        if len(mins) == len(maxs):
-            # complete pair list: try closing, then opening a new (x, y) slot
-            if len(mins) >= 2 and lt(anchor, maxs[-1]):
-                found.add(WeakCrown(*_canonical_crown(mins, maxs)))
-            for x in below[maxs[-1]]:
-                if x > anchor and x not in used:
-                    mins.append(x)
-                    used.add(x)
-                    extend(mins, maxs, used)
-                    used.discard(x)
-                    mins.pop()
-        else:
-            for y in above[mins[-1]]:
-                if y not in used and can_close(anchor, y, used):
-                    maxs.append(y)
-                    used.add(y)
-                    extend(mins, maxs, used)
-                    used.discard(y)
-                    maxs.pop()
+        anchor, first, last = mins[0], maxs[0], maxs[-1]
+        if len(maxs) >= 2 and last > first and up[anchor] >> last & 1:
+            found.append((mins, maxs))
+        for x in below[last]:
+            if x > anchor and not used >> x & 1:
+                reach = closable(anchor, first, used | 1 << x)
+                for y in above[x]:
+                    if reach >> y & 1:
+                        extend(mins + (x,), maxs + (y,), used | 1 << x | 1 << y)
 
     for x1 in range(poset.n):
         for y1 in above[x1]:
-            extend([x1], [y1], {x1, y1})
-    return tuple(sorted(found, key=lambda c: (c.size, c.mins, c.maxs)))
+            extend((x1,), (y1,), 1 << x1 | 1 << y1)
+    crowns = []
+    for mins, maxs in found:
+        # x1 leads either way; the reversal, (x1, xk, ..., x2) over
+        # (yk, ..., y1), is least when xk < x2, and at k = 2, where the lows
+        # tie, y1 < yk already makes the found orientation least
+        if mins[1] > mins[-1]:
+            mins, maxs = mins[:1] + mins[:0:-1], maxs[::-1]
+        crowns.append(WeakCrown(mins, maxs))
+    return tuple(sorted(crowns, key=lambda c: (c.size, c.mins, c.maxs)))
 
 
 def closed_semiwalks(poset, max_length):

@@ -101,11 +101,13 @@ def brute_weak_crowns(poset):
                 poset.lt(mins[(i + 1) % k], maxs[i]) for i in range(k)
             )
             if ok:
-                found.add(_canonical(mins, maxs))
+                found.add(canonical_crown(mins, maxs))
     return sorted(found)
 
 
-def _canonical(mins, maxs):
+def canonical_crown(mins, maxs):
+    """The lexicographically least (mins, maxs) over every rotation and
+    both orientations of an alternating cycle."""
     k = len(mins)
     rev_mins = (mins[0],) + tuple(reversed(mins[1:]))
     rev_maxs = tuple(reversed(maxs))
@@ -377,6 +379,19 @@ def literal_count_stats(poset, theta, walk, z):
         else:
             raise PreconditionError("walk steps must join comparable elements")
     return CountStats(s_plus, s_minus, t_plus, t_minus)
+
+
+def literal_net_steps(poset, walk):
+    """The net signed count of each strict pair along a walk, in order of
+    first step and zeros dropped, from poset.lt and the pair index."""
+    net = {}
+    for u, v in zip(walk, walk[1:]):
+        if poset.lt(u, v):
+            b, sign = poset.pair_index[(u, v)], 1
+        else:
+            b, sign = poset.pair_index[(v, u)], -1
+        net[b] = net.get(b, 0) + sign
+    return tuple((b, count) for b, count in net.items() if count)
 
 
 def brute_semiwalk_admissible(poset, theta, max_length):

@@ -1,6 +1,7 @@
 """Edge bijections: monotonicity, counting, admissibility, properness,
 enumerators, and compatible sign maps."""
 
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -31,7 +32,9 @@ from posetlie import (
     proper_witness,
     satisfies_crown_criterion,
     support_maps,
+    weak_crowns,
 )
+from posetlie.bijections import _net_steps
 from posetlie.families import (
     chain,
     crown,
@@ -51,6 +54,7 @@ from helpers import (
     brute_semiwalk_admissible,
     literal_count_stats,
     literal_edge_map,
+    literal_net_steps,
     mixed_length_posets,
     non_monotone_cases,
     random_connected_poset,
@@ -179,15 +183,23 @@ class TestCountStats:
 
     def test_open_walk_rejected(self):
         p = chain(3)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="^walk must be closed$"):
             count_stats(p, identity_on(p), (0, 1, 2), 0)
 
     def test_incomparable_step_rejected(self):
         p = crown(2)
         x1, x2, y1 = p.index("x1"), p.index("x2"), p.index("y1")
         for stats in (count_stats, literal_count_stats):
-            with pytest.raises(PreconditionError, match="comparable elements"):
+            with pytest.raises(
+                PreconditionError, match="^walk steps must join comparable elements$"
+            ):
                 stats(p, identity_on(p), (x1, x2, x1), x1)
+            # a step (u, u) joins no strict pair in either direction
+            for walk in ((x1, x1), (x1, y1, y1, x1)):
+                with pytest.raises(
+                    PreconditionError, match="^walk steps must join comparable elements$"
+                ):
+                    stats(p, identity_on(p), walk, x1)
             # closedness is checked before the steps
             with pytest.raises(PreconditionError, match="walk must be closed"):
                 stats(p, identity_on(p), (x1, x2, y1), x1)
@@ -207,6 +219,32 @@ class TestCountStats:
         z = p.index("7'")
         assert literal_count_stats(p, theta, walk, z) == CountStats(0, 0, 0, 1)
         assert count_stats(p, theta, walk, z) == CountStats(0, 0, 0, 1)
+        # count_stats does not ask for theta in M: on seeded random posets,
+        # random permutations of the pairs exercise every step sign and hit set
+        for seed in range(12):
+            rng = random.Random(seed)
+            poset = random_connected_poset(rng, 5 + seed % 3)
+            size = len(poset.strict_pairs)
+            thetas = [identity_on(poset)]
+            for _ in range(4):
+                perm = list(range(size))
+                rng.shuffle(perm)
+                thetas.append(EdgeBijection(tuple(perm)))
+            walks = closed_semiwalks(poset, 4) + poset.cycle_basis
+            for theta in thetas:
+                for walk in walks:
+                    for z in range(poset.n):
+                        assert count_stats(poset, theta, walk, z) == (
+                            literal_count_stats(poset, theta, walk, z)
+                        )
+
+
+class TestNetSteps:
+    def test_cycle_basis_and_crown_vectors_match_literal(self):
+        for _, poset in suite() + (("example:20", example20()),):
+            cycles = poset.cycle_basis + tuple(c.cycle() for c in weak_crowns(poset))
+            for cycle in cycles:
+                assert _net_steps(poset, cycle) == literal_net_steps(poset, cycle)
 
 
 class TestAdmissibility:
@@ -492,10 +530,6 @@ class TestSerialization:
 def test_crown_balance_agrees_with_literal_counting():
     # the accumulator behind is_admissible must match evaluating the four
     # count functions literally on each crown cycle
-    import random
-
-    from posetlie import weak_crowns
-
     rng = random.Random(47)
     for poset in (crown(2), crown(3), kmn(2, 3), example6()):
         size = len(poset.strict_pairs)

@@ -69,6 +69,32 @@ def test_enumerate_groups(capsys):
     assert len(data["elements"]) == 8
 
 
+@pytest.mark.parametrize("group", ["m", "p"])
+def test_enumerate_json_streams_the_one_document(capsys, group):
+    # fence:8 has 7! = 5040 monotone bijections, several chunks of
+    # elements; the streamed output is the sorted-key dump of the whole
+    # report, byte for byte
+    from posetlie import enumerate_M, enumerate_P, verify_group
+    from posetlie.families import fence
+
+    code, out = run(capsys, "enumerate", group, "--family", "fence:8", "--format", "json")
+    assert code == 0
+    poset = fence(8)
+    if group == "m":
+        elements = list(enumerate_M(poset))
+        structure = {"order": len(elements)}
+    else:
+        found = verify_group(enumerate_P(poset))
+        elements, structure = found.elements, found.to_json()
+    expected = {
+        "group": group,
+        "structure": structure,
+        "elements": [t.to_json(poset) for t in elements],
+    }
+    assert out == json.dumps(expected, sort_keys=True, separators=(",", ":")) + "\n"
+    assert len(expected["elements"]) == (5040 if group == "m" else 2)
+
+
 def test_enumerate_m_text_counts_without_listing(capsys):
     # 9! elements: the text output reports the order without listing them
     code, out = run(capsys, "enumerate", "m", "--family", "fence:10")

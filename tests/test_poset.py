@@ -1,5 +1,7 @@
 """Poset construction, parsing, chains, crowns, semiwalks and symmetries."""
 
+import random
+
 import pytest
 
 from posetlie import (
@@ -31,7 +33,9 @@ from helpers import (
     brute_poset_maps,
     brute_signatures,
     brute_weak_crowns,
+    canonical_crown,
     mixed_length_posets,
+    random_bipartite_poset,
     random_connected_poset,
 )
 
@@ -194,6 +198,14 @@ class TestPosetMaps:
                 assert (c.perm, c.kind) in perms
 
 
+def seeded_bipartite(seed):
+    """A random length-one poset of 2-4 lows and 3-4 highs, with a pair
+    count drawn from the feasible range."""
+    rng = random.Random(seed)
+    lows, highs = 2 + seed % 3, 3 + seed % 2
+    return random_bipartite_poset(rng, lows, highs, rng.randint(lows + highs - 1, lows * highs))
+
+
 class TestWeakCrowns:
     def test_short_chains_have_none(self):
         for n in (1, 2, 3):
@@ -218,12 +230,24 @@ class TestWeakCrowns:
 
     @pytest.mark.parametrize(
         "poset",
-        [crown(2), crown(3), kmn(2, 3), fence(5), star(4), chain(4), example6()],
-        ids=["crown2", "crown3", "kmn23", "fence5", "star4", "chain4", "example6"],
+        [crown(2), crown(3), kmn(2, 3), fence(5), star(4), chain(4), example6()]
+        + [random_connected_poset(random.Random(seed), 5 + seed % 4) for seed in range(16)]
+        + [seeded_bipartite(seed) for seed in range(12)],
+        ids=["crown2", "crown3", "kmn23", "fence5", "star4", "chain4", "example6"]
+        + ["connected%d" % seed for seed in range(16)]
+        + ["bipartite%d" % seed for seed in range(12)],
     )
     def test_agrees_with_brute_force(self, poset):
         ours = sorted((c.mins, c.maxs) for c in weak_crowns(poset))
         assert ours == brute_weak_crowns(poset)
+
+    def test_example20_crowns_sorted_and_canonical(self):
+        crowns = weak_crowns(example20())
+        assert len(crowns) == 4067
+        keys = [(c.size, c.mins, c.maxs) for c in crowns]
+        assert keys == sorted(set(keys))
+        for c in crowns:
+            assert (c.mins, c.maxs) == canonical_crown(c.mins, c.maxs)
 
     def test_crowns_are_closed_semiwalks(self):
         for poset in (crown(3), kmn(2, 3), example6(), example20()):
