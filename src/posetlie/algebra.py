@@ -8,6 +8,7 @@ element).  Everything is a pure value: operations return fresh objects.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 from . import linalg
@@ -40,6 +41,14 @@ class IncidenceElement:
                     clean[(x, y)] = value
         self.coeffs = clean
 
+    @classmethod
+    def _of(cls, poset, coeffs, field):
+        """An element from nonzero coefficients on comparable pairs, taken
+        as they are: results of the ring operations skip __init__'s checks."""
+        out = object.__new__(cls)
+        out.poset, out.field, out.coeffs = poset, field, coeffs
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -54,21 +63,32 @@ class IncidenceElement:
     # -- ring structure ----------------------------------------------------
 
     def _check_mate(self, other):
-        if self.poset != other.poset or self.field != other.field:
+        if (
+            self.poset is not other.poset and self.poset != other.poset
+        ) or self.field != other.field:
             raise InvalidParameter("operands live over different posets or fields")
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self op other, pair by pair, for op + or -."""
         self._check_mate(other)
         coeffs = dict(self.coeffs)
+        zero = self.field.zero
         for key, value in other.coeffs.items():
-            coeffs[key] = coeffs.get(key, self.field.zero) + value
-        return IncidenceElement(self.poset, coeffs, self.field)
+            total = op(coeffs.get(key, zero), value)
+            if total:
+                coeffs[key] = total
+            else:
+                del coeffs[key]  # other has no zeros, so key came from self
+        return IncidenceElement._of(self.poset, coeffs, self.field)
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def __neg__(self):
-        return IncidenceElement(
+        return IncidenceElement._of(
             self.poset, {k: -v for k, v in self.coeffs.items()}, self.field
         )
 
@@ -78,18 +98,22 @@ class IncidenceElement:
         )
 
     def __mul__(self, other):
-        """Convolution: (fg)(x, y) = sum over x <= z <= y of f(x,z) g(z,y)."""
+        """Convolution: (fg)(x, y) = sum over x <= z <= y of f(x,z) g(z,y).
+
+        x <= z <= y gives x <= y, so every (x, y) formed is comparable."""
         self._check_mate(other)
         by_first = {}
         for (z, y), value in other.coeffs.items():
             by_first.setdefault(z, []).append((y, value))
         coeffs = {}
+        zero = self.field.zero
         for (x, z), a in self.coeffs.items():
             for y, b in by_first.get(z, ()):
-                if self.poset.leq(x, y):
-                    key = (x, y)
-                    coeffs[key] = coeffs.get(key, self.field.zero) + a * b
-        return IncidenceElement(self.poset, coeffs, self.field)
+                key = (x, y)
+                coeffs[key] = coeffs.get(key, zero) + a * b
+        return IncidenceElement._of(
+            self.poset, {k: v for k, v in coeffs.items() if v}, self.field
+        )
 
     def __eq__(self, other):
         return (
@@ -189,11 +213,15 @@ class LinearMapOnIA:
         return len(self.columns)
 
     def apply(self, element):
-        out = IncidenceElement(self.poset, {}, self.field)
         index = self.poset.all_pair_index
+        zero = self.field.zero
+        coeffs = {}
         for pair, value in element.coeffs.items():
-            out = out + self.columns[index[pair]].scale(value)
-        return out
+            for key, c in self.columns[index[pair]].coeffs.items():
+                coeffs[key] = coeffs.get(key, zero) + value * c
+        return IncidenceElement._of(
+            self.poset, {k: v for k, v in coeffs.items() if v}, self.field
+        )
 
     def compose(self, other):
         """self after other."""
@@ -240,10 +268,11 @@ class LinearMapOnIA:
 
 def _per_poset(build):
     """Cache build(poset, field) on the poset instance, keyed by (name, field)."""
+    name = build.__name__
 
     @functools.wraps(build)
     def cached(poset, field):
-        return poset.memo((build.__name__, field), lambda: build(poset, field))
+        return poset.memo((name, field), build, field)
 
     return cached
 
@@ -253,14 +282,32 @@ def _basis_elements(poset, field):
 
 
 @_per_poset
-def _commutator_subspace_cached(poset, field):
+def _basis_brackets(poset, field):
+    """(i, j, [e_i, e_j]) for every pair i < j of basis indices."""
     elements = _basis_elements(poset, field)
-    rows = []
-    for i, a in enumerate(elements):
-        for b in elements[i + 1:]:
-            lie = bracket(a, b)
-            if not lie.is_zero():
-                rows.append(lie.to_vector())
+    return tuple(
+        (i, j, bracket(a, elements[j]))
+        for i, a in enumerate(elements)
+        for j in range(i + 1, len(elements))
+    )
+
+
+@_per_poset
+def _basis_products(poset, field):
+    """(i, j, e_i e_j) for every pair of basis indices."""
+    elements = _basis_elements(poset, field)
+    return tuple(
+        (i, j, a * b) for i, a in enumerate(elements) for j, b in enumerate(elements)
+    )
+
+
+@_per_poset
+def _commutator_subspace_cached(poset, field):
+    rows = [
+        lie.to_vector()
+        for _, _, lie in _basis_brackets(poset, field)
+        if not lie.is_zero()
+    ]
     basis, pivots = linalg.row_reduce(rows)
     return tuple(
         IncidenceElement.from_vector(poset, row, field) for row in basis
@@ -387,17 +434,11 @@ def inner_map(poset, f):
 
 
 def _preserves_products(mapping, flip):
-    poset = mapping.poset
-    field = mapping.field
-    elements = _basis_elements(poset, field)
-    for i, a in enumerate(elements):
-        fa = mapping.columns[i]
-        for j, b in enumerate(elements):
-            fb = mapping.columns[j]
-            lhs = mapping.apply(a * b)
-            rhs = fb * fa if flip else fa * fb
-            if lhs != rhs:
-                return False
+    columns = mapping.columns
+    for i, j, product in _basis_products(mapping.poset, mapping.field):
+        fa, fb = columns[i], columns[j]
+        if mapping.apply(product) != (fb * fa if flip else fa * fb):
+            return False
     return True
 
 
@@ -414,15 +455,11 @@ def is_lie_automorphism(mapping):
     """Invertible and bracket-preserving on all pairs of basis elements."""
     if not mapping.is_invertible():
         return False
-    poset = mapping.poset
-    elements = _basis_elements(poset, mapping.field)
-    for i, a in enumerate(elements):
-        fa = mapping.columns[i]
-        for j in range(i + 1, len(elements)):
-            lhs = mapping.apply(bracket(a, elements[j]))
-            if lhs != bracket(fa, mapping.columns[j]):
-                return False
-    return True
+    columns = mapping.columns
+    return all(
+        mapping.apply(lie) == bracket(columns[i], columns[j])
+        for i, j, lie in _basis_brackets(mapping.poset, mapping.field)
+    )
 
 
 def check_proper_decomposition(tau, phi):

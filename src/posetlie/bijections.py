@@ -84,7 +84,7 @@ class EdgeBijection:
 # -- monotonicity -------------------------------------------------------------
 
 
-def _chain_images(poset):
+def _build_chain_images(poset):
     """Per maximal chain c: its pair indices, and a dict from every monotone
     image of them (a pair-index tuple) to (direction, image chain).
 
@@ -92,26 +92,26 @@ def _chain_images(poset):
     decreasing sends it to (t_{m-1-j}, t_{m-1-i}); on chains of one or two
     elements the two coincide as BOTH.  Chains of one size share one dict.
     """
+    index = poset.pair_index
+    sources = {}
+    images = {}  # chain size -> {image pair indices: (direction, target)}
+    for t in poset.maximal_chains:
+        m = len(t)
+        spots = list(itertools.combinations(range(m), 2))
+        up = tuple(index[(t[i], t[j])] for i, j in spots)
+        down = tuple(index[(t[m - 1 - j], t[m - 1 - i])] for i, j in spots)
+        sources[t] = up
+        table = images.setdefault(m, {})
+        if up == down:
+            table[up] = (Direction.BOTH, t)
+        else:
+            table[up] = (Direction.INCREASING, t)
+            table[down] = (Direction.DECREASING, t)
+    return {c: (up, images[len(c)]) for c, up in sources.items()}
 
-    def build():
-        index = poset.pair_index
-        sources = {}
-        images = {}  # chain size -> {image pair indices: (direction, target)}
-        for t in poset.maximal_chains:
-            m = len(t)
-            spots = list(itertools.combinations(range(m), 2))
-            up = tuple(index[(t[i], t[j])] for i, j in spots)
-            down = tuple(index[(t[m - 1 - j], t[m - 1 - i])] for i, j in spots)
-            sources[t] = up
-            table = images.setdefault(m, {})
-            if up == down:
-                table[up] = (Direction.BOTH, t)
-            else:
-                table[up] = (Direction.INCREASING, t)
-                table[down] = (Direction.DECREASING, t)
-        return {c: (up, images[len(c)]) for c, up in sources.items()}
 
-    return poset.memo("chain_images", build)
+def _chain_images(poset):
+    return poset.memo("chain_images", _build_chain_images)
 
 
 def image_chain(poset, theta, chain):
@@ -149,24 +149,23 @@ def in_M(poset, theta):
 # -- the counting identity ----------------------------------------------------
 
 
+def _build_step_table(poset):
+    """The signed step table: each step (u, v) between comparable elements
+    maps to (pair index, +1 for an up-step or -1 for a down-step), and each
+    element z to the pair indices of (z, w), w > z, and of (w, z), w < z."""
+    steps = {}
+    ups = [[] for _ in range(poset.n)]
+    downs = [[] for _ in range(poset.n)]
+    for b, (x, y) in enumerate(poset.strict_pairs):
+        steps[x, y] = (b, 1)
+        steps[y, x] = (b, -1)
+        ups[x].append(b)
+        downs[y].append(b)
+    return steps, ups, downs
+
+
 def _step_table(poset):
-    """The signed step table, kept on the poset: each step (u, v) between
-    comparable elements maps to (pair index, +1 for an up-step or -1 for a
-    down-step), and each element z to the pair indices of (z, w), w > z,
-    and of (w, z), w < z."""
-
-    def build():
-        steps = {}
-        ups = [[] for _ in range(poset.n)]
-        downs = [[] for _ in range(poset.n)]
-        for b, (x, y) in enumerate(poset.strict_pairs):
-            steps[x, y] = (b, 1)
-            steps[y, x] = (b, -1)
-            ups[x].append(b)
-            downs[y].append(b)
-        return steps, ups, downs
-
-    return poset.memo("step_table", build)
+    return poset.memo("step_table", _build_step_table)
 
 
 def count_stats(poset, theta, walk, z):
@@ -208,47 +207,48 @@ def _net_steps(poset, walk):
     return tuple((b, count) for b, count in net.items() if count)
 
 
-def _cached_steps(poset, key, walks):
-    """The net step vectors of the walks from walks(), kept on the poset
-    instance: zero vectors dropped and the rest deduplicated up to sign, in
-    order of first occurrence.
+def _build_steps(poset, walks, *args):
+    """The net step vectors of the walks from walks(poset, *args): zero
+    vectors dropped and the rest deduplicated up to sign, in order of first
+    occurrence.
 
     _balanced_on_steps is linear in a walk's net vector and asks only
     whether a sum is zero, so step order, cancelling steps and the sign of
     the whole vector do not matter; a simple cycle keeps every step.
     """
+    out = []
+    seen = set()
+    for walk in walks(poset, *args):
+        steps = _net_steps(poset, walk)
+        canon = tuple(sorted(steps))
+        if steps and canon not in seen:
+            seen.add(canon)
+            seen.add(tuple((b, -count) for b, count in canon))
+            out.append(steps)
+    return tuple(out)
 
-    def build():
-        out = []
-        seen = set()
-        for walk in walks():
-            steps = _net_steps(poset, walk)
-            canon = tuple(sorted(steps))
-            if steps and canon not in seen:
-                seen.add(canon)
-                seen.add(tuple((b, -count) for b, count in canon))
-                out.append(steps)
-        return tuple(out)
 
-    return poset.memo(key, build)
+def _cycle_basis(poset):
+    return poset.cycle_basis
+
+
+def _crown_cycles(poset):
+    return (c.cycle() for c in weak_crowns(poset))
 
 
 def _basis_steps(poset):
-    return _cached_steps(poset, "cycle_basis", lambda: poset.cycle_basis)
+    return poset.memo("cycle_basis", _build_steps, _cycle_basis)
 
 
 def _crown_steps(poset):
-    return _cached_steps(
-        poset, "weak_crowns", lambda: (c.cycle() for c in weak_crowns(poset))
-    )
+    return poset.memo("weak_crowns", _build_steps, _crown_cycles)
 
 
 def _semiwalk_steps(poset, max_length):
     from .poset import closed_semiwalks
 
-    return _cached_steps(
-        poset, ("closed_semiwalks", max_length),
-        lambda: closed_semiwalks(poset, max_length),
+    return poset.memo(
+        ("closed_semiwalks", max_length), _build_steps, closed_semiwalks, max_length
     )
 
 
@@ -319,17 +319,17 @@ def edge_map_of(poset, poset_map):
     )
 
 
-def _proper_table(poset):
+def _build_proper_table(poset):
     """Each proper perm, mapped to the first poset map (in poset_maps order)
-    that induces it; kept on the poset."""
+    that induces it."""
+    table = {}
+    for candidate in poset_maps(poset):
+        table.setdefault(edge_map_of(poset, candidate).perm, candidate)
+    return table
 
-    def build():
-        table = {}
-        for candidate in poset_maps(poset):
-            table.setdefault(edge_map_of(poset, candidate).perm, candidate)
-        return table
 
-    return poset.memo("proper_table", build)
+def _proper_table(poset):
+    return poset.memo("proper_table", _build_proper_table)
 
 
 def proper_witness(poset, theta):
@@ -386,7 +386,7 @@ def _search(poset):
     if size < 2:
         return Leaves({tuple(range(size))}, ())
     table = _chain_images(poset)
-    chains, levels = _levels(poset)
+    chains, levels = poset.memo("levels", _levels)
     swept = 1 + max((k for k, c in enumerate(chains) if len(c) > 2), default=-1)
     tail = [table[c][0][0] for c in chains[swept:]]
 
@@ -413,6 +413,7 @@ def _search(poset):
                 pre[dst] = -1
 
     place(0)
+    del place  # a self-recursive closure is a cycle: free it now
     return Leaves(blocks, tail)
 
 
@@ -474,8 +475,8 @@ def enumerate_M(poset, bound=DEFAULT_BOUND):
 # -- the cut form and the stabilizer tower of AM ----------------------------------
 
 
-def _cut_form(poset):
-    """det(L0)·Q as integer rows on the strict pairs, kept on the poset.
+def _build_cut_form(poset):
+    """det(L0)·Q as integer rows on the strict pairs.
 
     Q, the projection onto the cut space of the comparability graph, has
     Q[e, f] = (d_p - d_q)^T L0^-1 (d_r - d_s) for e = (p, q), f = (r, s), with
@@ -485,27 +486,27 @@ def _cut_form(poset):
     Permutations are orthogonal, so theta keeps the cycle space, as
     is_admissible asks, iff it keeps Q: AM = M ∩ Aut(Q).
     """
+    m, pairs = poset.n - 1, poset.strict_pairs
+    rows = []
+    for u in range(1, poset.n):
+        row = [0] * m + [(p == u) - (q == u) for p, q in pairs]
+        for v in poset.above[u] + poset.below[u]:
+            if v:
+                row[v - 1] = -1
+        row[u - 1] = len(poset.above[u]) + len(poset.below[u])
+        rows.append(row)
+    det = 1  # L0 is positive definite, so no pivot is zero
+    for k, pivot in enumerate(rows):
+        for row in rows:
+            if row is not pivot:
+                row[:] = [(pivot[k] * a - row[k] * c) // det for a, c in zip(row, pivot)]
+        det = pivot[k]
+    x = [[0] * len(pairs)] + [row[m:] for row in rows]
+    return tuple(tuple(a - b for a, b in zip(x[p], x[q])) for p, q in pairs)
 
-    def build():
-        m, pairs = poset.n - 1, poset.strict_pairs
-        rows = []
-        for u in range(1, poset.n):
-            row = [0] * m + [(p == u) - (q == u) for p, q in pairs]
-            for v in poset.above[u] + poset.below[u]:
-                if v:
-                    row[v - 1] = -1
-            row[u - 1] = len(poset.above[u]) + len(poset.below[u])
-            rows.append(row)
-        det = 1  # L0 is positive definite, so no pivot is zero
-        for k, pivot in enumerate(rows):
-            for row in rows:
-                if row is not pivot:
-                    row[:] = [(pivot[k] * a - row[k] * c) // det for a, c in zip(row, pivot)]
-            det = pivot[k]
-        x = [[0] * len(pairs)] + [row[m:] for row in rows]
-        return tuple(tuple(a - b for a, b in zip(x[p], x[q])) for p, q in pairs)
 
-    return poset.memo("cut_form", build)
+def _cut_form(poset):
+    return poset.memo("cut_form", _build_cut_form)
 
 
 def preserves_cut_form(poset, theta):
@@ -521,7 +522,7 @@ def _fixed_leaf(poset, fixed):
     also keeps images distinct: e and f with one image would have the same
     row in Q, and only a 2-cycle would join them."""
     form = _cut_form(poset)
-    levels = poset.memo("tower_levels", lambda: _levels(poset)[1])
+    levels = poset.memo("levels", _levels)[1]
     image, placed = [-1] * len(form), []
     for b, t in fixed.items():
         image[b] = t
@@ -553,7 +554,9 @@ def _fixed_leaf(poset, fixed):
             del placed[depth:]
         return None
 
-    return place(0)
+    leaf = place(0)
+    del place  # a self-recursive closure is a cycle: free it now
+    return leaf
 
 
 def _close(orbit, gens):
@@ -581,15 +584,17 @@ class Tower:
         return math.prod(map(len, self._transversals))
 
     def __iter__(self):
-        def walk(i, g):
-            if i == len(self._transversals):
-                yield EdgeBijection(g)
-                return
-            level = self._transversals[i]  # an element below u_t maps i to g(t)
-            for t in sorted(level, key=g.__getitem__):
-                yield from walk(i + 1, tuple(map(g.__getitem__, level[t])))
+        return _tower_walk(self._transversals, 0, tuple(range(self._size)))
 
-        return walk(0, tuple(range(self._size)))
+
+def _tower_walk(transversals, i, g):
+    """The tower's elements g u_i u_{i+1} ..., in ascending order."""
+    if i == len(transversals):
+        yield EdgeBijection(g)
+        return
+    level = transversals[i]  # an element below u_t maps i to g(t)
+    for t in sorted(level, key=g.__getitem__):
+        yield from _tower_walk(transversals, i + 1, tuple(map(g.__getitem__, level[t])))
 
 
 def enumerate_AM(poset, bound=DEFAULT_BOUND):

@@ -11,7 +11,6 @@ import itertools
 import json
 import sys
 
-from . import algebra as alg
 from . import bijections as bij
 from . import chains as chn
 from . import families as fam

@@ -92,14 +92,9 @@ class RationalField:
     """The field of arbitrary-precision rationals."""
 
     name = "q"
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    # scalars are never mutated, so every caller can share the constants
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def from_int(self, k):
         return Fraction(k)
@@ -131,14 +126,8 @@ class PrimeField:
             raise InvalidParameter("modulus %r is not prime" % (p,))
         self.p = p
         self.name = "fp:%d" % p
-
-    @property
-    def zero(self):
-        return Mod(0, self.p)
-
-    @property
-    def one(self):
-        return Mod(1, self.p)
+        self.zero = Mod(0, p)
+        self.one = Mod(1, p)
 
     def from_int(self, k):
         return Mod(k, self.p)

@@ -21,7 +21,7 @@ def row_reduce(rows):
         if pivot is None:
             continue
         inv = row[pivot]
-        row = [v / inv for v in row]
+        row = [v / inv if v else v for v in row]
         # back-substitute into earlier basis rows to keep them reduced
         for k, (b, p) in enumerate(zip(basis, pivots)):
             if b[pivot]:

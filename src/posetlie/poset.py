@@ -254,19 +254,13 @@ class Poset:
         """All maximal chains, as index tuples, in lexicographic order."""
         out = []
         max_set = set(self.max_set)
-
-        def grow(chain):
-            last = chain[-1]
-            if last in max_set:
-                out.append(tuple(chain))
-                return
-            for j in self.upper_covers[last]:
-                chain.append(j)
-                grow(chain)
-                chain.pop()
-
-        for i in self.min_set:
-            grow([i])
+        stack = [(i,) for i in self.min_set]
+        while stack:
+            chain = stack.pop()
+            if chain[-1] in max_set:
+                out.append(chain)
+            else:
+                stack.extend(chain + (j,) for j in self.upper_covers[chain[-1]])
         out.sort()
         return tuple(out)
 
@@ -316,12 +310,18 @@ class Poset:
     def _memo(self):
         return {}
 
-    def memo(self, key, build):
-        """build(), computed once per key and kept on this instance, so the
-        structures other modules derive from the poset live and die with it."""
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
+    def memo(self, key, build, *args):
+        """build(self, *args), computed once per key and kept on this
+        instance, so the structures other modules derive from the poset live
+        and die with it.  Callers pass a module-level build, so a hit makes
+        no closure."""
+        memo = self._memo
+        try:
+            return memo[key]
+        except KeyError:
+            pass
+        memo[key] = value = build(self, *args)
+        return value
 
     def dual(self):
         """The opposite order on the same elements."""
@@ -422,6 +422,7 @@ def weak_crowns(poset):
     for x1 in range(poset.n):
         for y1 in above[x1]:
             extend((x1,), (y1,), 1 << x1 | 1 << y1)
+    del extend  # a self-recursive closure is a cycle: free it now
     crowns = []
     for mins, maxs in found:
         # x1 leads either way; the reversal, (x1, xk, ..., x2) over
@@ -456,6 +457,7 @@ def closed_semiwalks(poset, max_length):
 
     for start in range(poset.n):
         walk([start])
+    del walk  # a self-recursive closure is a cycle: free it now
     return tuple(out)
 
 
@@ -519,6 +521,7 @@ def order_isomorphisms(source, target):
                 image[i] = -1
 
     assign(0)
+    del assign  # a self-recursive closure is a cycle: free it now
     results.sort()
     return results
 

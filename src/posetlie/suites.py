@@ -360,6 +360,17 @@ def _parity_of_chain(poset, n, chain):
     return "odd" if y - n == x else "even"
 
 
+def _stats_row(stats, poset, theta, walk):
+    """count_stats of theta on walk at every element, kept in stats (one
+    dict per theta) so that each input reaches the oracle once."""
+    row = stats.get(walk)
+    if row is None:
+        row = stats[walk] = tuple(
+            bij.count_stats(poset, theta, walk, z) for z in range(poset.n)
+        )
+    return row
+
+
 def properties_block():
     """The quantified invariants: chain intersections, identity invariances,
     run collapsing, and the crown parity criterion."""
@@ -403,16 +414,18 @@ def properties_block():
         walks = pst.closed_semiwalks(poset, 5)
         thetas = list(bij.enumerate_M(poset))[:24]
         for theta in thetas:
+            stats = {}
             for walk in walks:
                 body = walk[:-1]
                 shifted = body[1:] + body[:1] + (body[1],)
-                reverse = walk[::-1]
-                for z in range(poset.n):
-                    base = bij.count_stats(poset, theta, walk, z)
-                    shift = bij.count_stats(poset, theta, shifted, z)
+                rows = zip(
+                    _stats_row(stats, poset, theta, walk),
+                    _stats_row(stats, poset, theta, shifted),
+                    _stats_row(stats, poset, theta, walk[::-1]),
+                )
+                for base, shift, rev in rows:
                     if base != shift:
                         shift_bad += 1
-                    rev = bij.count_stats(poset, theta, reverse, z)
                     if rev != bij.CountStats(
                         base.s_minus, base.s_plus, base.t_minus, base.t_plus
                     ):
@@ -424,6 +437,7 @@ def properties_block():
     for poset in (fam.chain(3), fam.chain(4), fam.example6()):
         walks = pst.closed_semiwalks(poset, 6)
         for theta in bij.enumerate_M(poset):
+            stats = {}
             for walk in walks:
                 for k in range(len(walk) - 2):
                     a, b, c = walk[k], walk[k + 1], walk[k + 2]
@@ -431,9 +445,11 @@ def properties_block():
                         poset.lt(c, b) and poset.lt(b, a)
                     ):
                         collapsed = walk[: k + 1] + walk[k + 2:]
-                        for z in range(poset.n):
-                            full = bij.count_stats(poset, theta, walk, z)
-                            short = bij.count_stats(poset, theta, collapsed, z)
+                        rows = zip(
+                            _stats_row(stats, poset, theta, walk),
+                            _stats_row(stats, poset, theta, collapsed),
+                        )
+                        for full, short in rows:
                             if (
                                 full.s_plus - full.t_plus != short.s_plus - short.t_plus
                                 or full.s_minus - full.t_minus

@@ -28,7 +28,7 @@ from posetlie import (
     poset_maps,
 )
 from posetlie.algebra import is_algebra_automorphism, is_negated_anti_automorphism
-from posetlie.fields import PrimeField
+from posetlie.fields import RATIONALS, PrimeField
 from posetlie import linalg
 from posetlie.families import chain, crown, example6, kmn, suite
 
@@ -99,6 +99,69 @@ class TestMultiply:
                 assert d + j == f
                 assert all(x == y for (x, y) in d.coeffs)
                 assert all(x != y for (x, y) in j.coeffs)
+
+
+def _random_over(poset, rng, field):
+    """A random element with values in {-2, ..., 2}; over GF(3) some cancel."""
+    coeffs = {
+        pair: field.from_int(rng.randint(-2, 2))
+        for pair in poset.all_pairs
+        if rng.random() < 0.6
+    }
+    return IncidenceElement(poset, coeffs, field)
+
+
+class TestOperationResults:
+    """The ring operations and apply build their results without the checks
+    of IncidenceElement.__init__; each result must be what the validated
+    constructor makes of its coefficients, with no zero stored, and must
+    have the values of the literal definitions."""
+
+    @staticmethod
+    def assert_validated(result):
+        assert all(result.coeffs.values())
+        assert IncidenceElement(result.poset, result.coeffs, result.field) == result
+
+    @pytest.mark.parametrize("field", [RATIONALS, PrimeField(3)], ids=["q", "fp3"])
+    def test_results_match_validated_constructor(self, field):
+        rng = random.Random(29)
+        posets = [p for _, p in suite() if p.n <= 5]
+        assert len(posets) >= 8
+        for poset in posets:
+            maps = [
+                induced_map(poset, m, field) for m in poset_maps(poset)[:3]
+            ] + [
+                LinearMapOnIA.from_images(
+                    poset, [_random_over(poset, rng, field) for _ in poset.all_pairs], field
+                )
+            ]
+            for _ in range(6):
+                f = _random_over(poset, rng, field)
+                g = _random_over(poset, rng, field)
+                pointwise = (
+                    (f + g, lambda p: f(*p) + g(*p)),
+                    (f - g, lambda p: f(*p) - g(*p)),
+                    (-f, lambda p: -f(*p)),
+                    (f + (-f), lambda p: field.zero),
+                    (f - f, lambda p: field.zero),
+                )
+                for result, value in pointwise:
+                    self.assert_validated(result)
+                    assert all(result(*p) == value(p) for p in poset.all_pairs)
+                for result, literal in (
+                    (f * g, literal_convolution(f, g)),
+                    (bracket(f, g), literal_convolution(f, g) - literal_convolution(g, f)),
+                ):
+                    self.assert_validated(result)
+                    assert result == literal
+                for mapping in maps:
+                    result = mapping.apply(f)
+                    self.assert_validated(result)
+                    for x, y in poset.all_pairs:
+                        literal = field.zero
+                        for pair, column in zip(poset.all_pairs, mapping.columns):
+                            literal = literal + f(*pair) * column(x, y)
+                        assert result(x, y) == literal
 
 
 class TestBracket:
@@ -323,6 +386,26 @@ class TestLieAutomorphism:
 
     def test_zero_map_rejected(self):
         assert not is_lie_automorphism(LinearMapOnIA.zero(chain(2)))
+
+    @pytest.mark.parametrize("field", [RATIONALS, PrimeField(3)], ids=["q", "fp3"])
+    def test_invertible_non_lie_maps_rejected(self, field):
+        # both maps are invertible, so they reach the bracket comparison
+        p = chain(3)
+        anti = [m for m in poset_maps(p) if m.kind == MapKind.ANTI][0]
+        plain_anti = induced_map(p, anti, field)
+        assert plain_anti.is_invertible()
+        assert not is_lie_automorphism(plain_anti)
+        # e00 <-> e01 on chain:2: [e00, e01] = e01 goes to e00, but
+        # [e01, e00] = -e01
+        q = chain(2)
+        images = {(0, 0): (0, 1), (0, 1): (0, 0), (1, 1): (1, 1)}
+        swap = LinearMapOnIA.from_images(
+            q,
+            [IncidenceElement.basis(q, *images[pair], field) for pair in q.all_pairs],
+            field,
+        )
+        assert swap.is_invertible()
+        assert not is_lie_automorphism(swap)
 
 
 class TestProperDecomposition:

@@ -1,7 +1,9 @@
 """Edge bijections: monotonicity, counting, admissibility, properness,
 enumerators, and compatible sign maps."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 from math import factorial
 
@@ -18,6 +20,7 @@ from posetlie import (
     chain_action,
     closed_semiwalks,
     count_stats,
+    decide_all_proper,
     edge_map_of,
     enumerate_AM,
     enumerate_M,
@@ -549,3 +552,28 @@ def test_crown_balance_agrees_with_literal_counting():
                 poset, theta.inverse().perm, _crown_steps(poset)
             )
             assert fast == literal
+
+
+def test_searches_leave_no_reference_cycles():
+    # a cycle, such as a self-recursive closure, keeps the poset and the
+    # search's tables alive until the cycle collector runs, long after the
+    # search is done
+    gc.collect()
+    gc.disable()
+    try:
+        for make, size in ((example6, None), (crown, 3), (chain, 3)):
+            poset = make() if size is None else make(size)
+            ref = weakref.ref(poset)
+            results = (
+                decide_all_proper(poset, 12),
+                list(enumerate_AM(poset, 12)),
+                list(enumerate_M(poset, 12)),
+                poset_maps(poset),
+                closed_semiwalks(poset, 4),
+                weak_crowns(poset),
+            )
+            del poset, results
+            assert ref() is None
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

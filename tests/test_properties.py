@@ -17,6 +17,7 @@ from posetlie import (
     is_admissible,
     poset_maps,
 )
+from posetlie import bijections, suites
 from posetlie.bijections import EdgeBijection
 from posetlie.families import chain, crown, example6, fence, kmn, suite
 
@@ -174,3 +175,101 @@ def test_fence_monotone_group_is_symmetric_group():
     poset = fence(5)
     count = sum(1 for _ in enumerate_M(poset))
     assert count == 24
+
+
+# -- the properties block and its count_stats oracle -----------------------------
+
+
+def _monotone_runs(poset, walk):
+    for k in range(len(walk) - 2):
+        a, b, c = walk[k], walk[k + 1], walk[k + 2]
+        if (poset.lt(a, b) and poset.lt(b, c)) or (poset.lt(c, b) and poset.lt(b, a)):
+            yield k
+
+
+def _literal_block_inputs():
+    """The (poset number, perm, walk, z) inputs that the literal shift,
+    reversal and run-collapse loops of the properties block hand to
+    count_stats, numbering the posets in the order the block builds them."""
+    inputs = set()
+    number = 0
+    for poset in (crown(2), chain(3), kmn(2, 3)):
+        walks = closed_semiwalks(poset, 5)
+        for theta in list(enumerate_M(poset))[:24]:
+            for walk in walks:
+                body = walk[:-1]
+                for w in (walk, body[1:] + body[:1] + (body[1],), walk[::-1]):
+                    inputs.update((number, theta.perm, w, z) for z in range(poset.n))
+        number += 1
+    for poset in (chain(3), chain(4), example6()):
+        walks = closed_semiwalks(poset, 6)
+        for theta in enumerate_M(poset):
+            for walk in walks:
+                for k in _monotone_runs(poset, walk):
+                    for w in (walk, walk[: k + 1] + walk[k + 2:]):
+                        inputs.update((number, theta.perm, w, z) for z in range(poset.n))
+        number += 1
+    return inputs
+
+
+def _properties_with(monkeypatch, fake):
+    """Run the properties block with bijections.count_stats replaced by
+    fake(real, poset, theta, walk, z); returns its checks by name."""
+    real = bijections.count_stats
+    monkeypatch.setattr(
+        bijections, "count_stats",
+        lambda poset, theta, walk, z: fake(real, poset, theta, walk, z),
+    )
+    return {c.name: c.ok for c in suites.properties_block()}
+
+
+def test_properties_block_asks_the_oracle_each_input_once(monkeypatch):
+    posets = {}  # id -> (number, poset); holding the poset keeps its id unique
+    calls = []
+
+    def record(real, poset, theta, walk, z):
+        number = posets.setdefault(id(poset), (len(posets), poset))[0]
+        calls.append((number, theta.perm, walk, z))
+        return real(poset, theta, walk, z)
+
+    checks = _properties_with(monkeypatch, record)
+    assert all(checks.values())
+    expected = _literal_block_inputs()
+    assert len(expected) == 32484
+    assert set(calls) == expected
+    assert len(calls) == len(expected)
+
+
+def test_properties_block_sees_a_start_dependent_oracle(monkeypatch):
+    def by_start(real, poset, theta, walk, z):
+        stats = real(poset, theta, walk, z)
+        return stats._replace(s_plus=stats.s_plus + walk[0])
+
+    checks = _properties_with(monkeypatch, by_start)
+    assert not checks["identity_shift_reversal_invariance"]
+    assert checks["run_collapse_invariance"]
+
+
+def test_properties_block_sees_an_oracle_that_skips_a_run_step(monkeypatch):
+    def skip_middle(real, poset, theta, walk, z):
+        # the literal counts with the step leaving the middle of the walk's
+        # first monotone run left out
+        skipped = next(_monotone_runs(poset, walk), None)
+        if skipped is None:
+            return real(poset, theta, walk, z)
+        s_hits = {theta.perm[poset.pair_index[z, w]] for w in poset.above[z]}
+        t_hits = {theta.perm[poset.pair_index[w, z]] for w in poset.below[z]}
+        counts = {"s_plus": 0, "s_minus": 0, "t_plus": 0, "t_minus": 0}
+        for k, (u, v) in enumerate(zip(walk, walk[1:])):
+            if k == skipped + 1:
+                continue
+            up = poset.lt(u, v)
+            sign = "plus" if up else "minus"
+            pair = poset.pair_index[(u, v) if up else (v, u)]
+            counts["s_" + sign] += pair in s_hits
+            counts["t_" + sign] += pair in t_hits
+        return CountStats(**counts)
+
+    checks = _properties_with(monkeypatch, skip_middle)
+    assert not checks["run_collapse_invariance"]
+
