@@ -441,7 +441,8 @@ def _levels(poset):
 class Leaves:
     """A search's leaves as sweep blocks, sized and listed on demand.  A
     block is a row, pre at a sweep with its free slots at -1.  Its leaves,
-    ascending, fill the slots with the permutations of the sorted tail.
+    ascending, fill the slots with the permutations of the sorted tail, and
+    the listing merges the blocks lazily.
     """
 
     def __init__(self, blocks, tail):
@@ -449,8 +450,6 @@ class Leaves:
         self._tail = tuple(sorted(tail))
 
     def _block(self, row):
-        if not self._tail:  # also |B| < 2, where itemgetter gives no tuple
-            return iter((row,))
         extra = iter(range(len(row), len(row) + len(self._tail)))
         pick = operator.itemgetter(*[d if src >= 0 else next(extra) for d, src in enumerate(row)])
         return map(pick, map(row.__add__, itertools.permutations(self._tail)))
@@ -459,8 +458,14 @@ class Leaves:
         return len(self._blocks) * math.factorial(len(self._tail))
 
     def __iter__(self):
-        out = sorted(itertools.chain.from_iterable(map(self._block, self._blocks)))
-        return map(EdgeBijection, out)
+        # one leaf per block; also |B| < 2, where itemgetter gives no tuple
+        if not self._tail:
+            return map(EdgeBijection, sorted(self._blocks))
+        if len(self._blocks) == 1:
+            return map(EdgeBijection, self._block(*self._blocks))
+        import heapq  # here, so that a CLI call that merges nothing skips it
+
+        return map(EdgeBijection, heapq.merge(*map(self._block, self._blocks)))
 
     def __contains__(self, theta):
         return tuple(-1 if src in self._tail else src for src in theta.perm) in self._blocks
@@ -571,6 +576,9 @@ def _close(orbit, gens):
     return orbit
 
 
+_MERGED = 32  # at most this many elements of the last levels are multiplied out
+
+
 class Tower:
     """A group as a pointwise-stabilizer tower on the base 0, 1, ... (Sims):
     per level i, a transversal {t: u} with u(i) = t of G_i, the elements
@@ -584,17 +592,41 @@ class Tower:
         return math.prod(map(len, self._transversals))
 
     def __iter__(self):
-        return _tower_walk(self._transversals, 0, tuple(range(self._size)))
+        identity = tuple(range(self._size))
+        # a level holding only the identity composes to nothing; at |B| < 2
+        # every level does, where itemgetter of one point gives no tuple
+        levels = [level for level in self._transversals if [*level.values()] != [identity]]
+        if not levels:
+            return iter((EdgeBijection(identity),))
+        # the last levels are multiplied out while their group G_j has at
+        # most _MERGED elements; the walk sorts the g h, h in G_j, at once
+        j = len(levels) - 1
+        while j and len(levels[j - 1]) * math.prod(map(len, levels[j:])) <= _MERGED:
+            j -= 1
+        below = [identity]
+        for level in reversed(levels[j:]):
+            below = [tuple(map(u.__getitem__, h)) for u in level.values() for h in below]
+        head = [
+            ([*level], [operator.itemgetter(*u) for u in level.values()])
+            for level in levels[:j]
+        ]
+        tail = [operator.itemgetter(*h) for h in below]
+        return map(EdgeBijection, _tower_walk(head, tail, 0, identity))
 
 
-def _tower_walk(transversals, i, g):
-    """The tower's elements g u_i u_{i+1} ..., in ascending order."""
-    if i == len(transversals):
-        yield EdgeBijection(g)
-        return
-    level = transversals[i]  # an element below u_t maps i to g(t)
-    for t in sorted(level, key=g.__getitem__):
-        yield from _tower_walk(transversals, i + 1, tuple(map(g.__getitem__, level[t])))
+def _tower_walk(head, tail, i, g):
+    """The perms g u_i u_{i+1} ... h, ascending, for u_k in head level k,
+    given as its points t and composers c_t(g) = g u_t, and c_h(g) = g h in
+    tail.  The elements below u_t agree before level i's base point and map
+    it to g(t), so each head level runs in the order of g(t); the tail is
+    sorted whole."""
+    if i == len(head):
+        return sorted([compose(g) for compose in tail])
+    points, composers = head[i]
+    ranked = sorted(zip(map(g.__getitem__, points), composers))
+    return itertools.chain.from_iterable(
+        _tower_walk(head, tail, i + 1, compose(g)) for _, compose in ranked
+    )
 
 
 def enumerate_AM(poset, bound=DEFAULT_BOUND):

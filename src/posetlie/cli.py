@@ -132,6 +132,15 @@ def cmd_aut(args):
     return 0
 
 
+def _element_texts(poset, elements):
+    """Each element's EdgeBijection.to_json, as _dump writes it, read from
+    one table: cells[k][j] is the text of [pair k, pair j]."""
+    pairs = [_dump(list(pair)) for pair in poset.strict_pairs]
+    cells = [["[%s,%s]" % (a, b) for b in pairs] for a in pairs]
+    for theta in elements:
+        yield "[" + ",".join(map(list.__getitem__, cells, theta.perm)) + "]"
+
+
 def cmd_enumerate(args):
     poset = _load_poset(args)
     if args.group == "m":
@@ -145,10 +154,10 @@ def cmd_enumerate(args):
         # keys are sorted, so "elements" comes first: stream it in chunks
         # rather than hold every element's JSON at once
         sys.stdout.write('{"elements":[')
-        items = iter(elements)
+        texts = _element_texts(poset, elements)
         sep = ""
-        while chunk := [t.to_json(poset) for t in itertools.islice(items, 1024)]:
-            sys.stdout.write(sep + _dump(chunk)[1:-1])
+        while chunk := list(itertools.islice(texts, 1024)):
+            sys.stdout.write(sep + ",".join(chunk))
             sep = ","
         print("]," + _dump({"group": args.group, "structure": report})[1:])
     else:

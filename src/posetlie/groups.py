@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, lcm
 from operator import attrgetter, itemgetter
 
 from .bijections import EdgeBijection
@@ -30,14 +30,21 @@ class FiniteGroupOnEdges:
     def __contains__(self, theta):
         return theta.perm in self.perms
 
-    def element_order(self, theta):
-        identity = EdgeBijection.identity(self.degree)
-        power = theta
-        k = 1
-        while power != identity:
-            power = power.compose(theta)
-            k += 1
-        return k
+    @staticmethod
+    def element_order(theta):
+        """The least k >= 1 with theta^k the identity: the lcm of the lengths
+        of theta's cycles."""
+        perm = theta.perm
+        unseen = set(perm)
+        lengths = set()
+        while unseen:
+            start = point = unseen.pop()
+            length = 1
+            while (point := perm[point]) != start:
+                unseen.remove(point)
+                length += 1
+            lengths.add(length)
+        return lcm(*lengths)
 
     def order_histogram(self):
         hist = Counter(self.element_order(g) for g in self.elements)
@@ -118,8 +125,9 @@ def dihedral_witness(group, n):
     """
     if group.order != 4 * n:
         return False
-    rotations = [g for g in group.elements if group.element_order(g) == 2 * n]
-    flips = [g for g in group.elements if group.element_order(g) == 2]
+    orders = list(zip(map(group.element_order, group.elements), group.elements))
+    rotations = [g for k, g in orders if k == 2 * n]
+    flips = [g for k, g in orders if k == 2]
     for r in rotations:
         r_inv = r.inverse()
         for s in flips:

@@ -473,3 +473,16 @@ class TestSerialization:
         mapped = induced_map(p, iso)
         again = LinearMapOnIA.from_json(p, mapped.to_json())
         assert again.columns == mapped.columns
+
+
+def test_algebra_block_reports_a_candidate_that_is_not_lie(monkeypatch):
+    # twice an induced map breaks every nonzero bracket; the block reads
+    # that off check_proper_decomposition's error and fails both checks
+    from posetlie import suites
+
+    induced = suites.alg.induced_map
+    monkeypatch.setattr(suites.alg, "induced_map", lambda *args: induced(*args) + induced(*args))
+    results = {c.name: c.ok for c in suites.algebra_block()}
+    assert results["commutator_is_radical_crown_2"]
+    assert not results["induced_maps_are_lie_crown_2"]
+    assert not results["self_decomposition_crown_2"]

@@ -69,22 +69,33 @@ def test_enumerate_groups(capsys):
     assert len(data["elements"]) == 8
 
 
-@pytest.mark.parametrize("group", ["m", "p"])
-def test_enumerate_json_streams_the_one_document(capsys, group):
+@pytest.mark.parametrize(
+    "group, selector, count",
+    [
+        pytest.param("m", "fence:8", 5040, id="m"),
+        pytest.param("p", "fence:8", 2, id="p"),
+        # two chunks of elements
+        pytest.param("am", "crown:4", 1152, id="am-crown:4"),
+        # |B| = 10: pair indices of two digits
+        pytest.param("p", "kmn:2x5", 240, id="p-kmn:2x5"),
+    ],
+)
+def test_enumerate_json_streams_the_one_document(capsys, group, selector, count):
     # fence:8 has 7! = 5040 monotone bijections, several chunks of
     # elements; the streamed output is the sorted-key dump of the whole
-    # report, byte for byte
-    from posetlie import enumerate_M, enumerate_P, verify_group
-    from posetlie.families import fence
+    # report, each element as EdgeBijection.to_json gives it, byte for byte
+    from posetlie import enumerate_AM, enumerate_M, enumerate_P, verify_group
+    from posetlie.families import from_selector
 
-    code, out = run(capsys, "enumerate", group, "--family", "fence:8", "--format", "json")
+    code, out = run(capsys, "enumerate", group, "--family", selector, "--format", "json")
     assert code == 0
-    poset = fence(8)
+    poset = from_selector(selector)
     if group == "m":
         elements = list(enumerate_M(poset))
         structure = {"order": len(elements)}
     else:
-        found = verify_group(enumerate_P(poset))
+        listing = enumerate_AM(poset) if group == "am" else enumerate_P(poset)
+        found = verify_group(listing)
         elements, structure = found.elements, found.to_json()
     expected = {
         "group": group,
@@ -92,7 +103,7 @@ def test_enumerate_json_streams_the_one_document(capsys, group):
         "elements": [t.to_json(poset) for t in elements],
     }
     assert out == json.dumps(expected, sort_keys=True, separators=(",", ":")) + "\n"
-    assert len(expected["elements"]) == (5040 if group == "m" else 2)
+    assert len(expected["elements"]) == count
 
 
 def test_enumerate_m_text_counts_without_listing(capsys):

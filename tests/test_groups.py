@@ -8,6 +8,7 @@ import pytest
 from helpers import brute_generating_set, brute_is_group
 from posetlie import (
     EdgeBijection,
+    FiniteGroupOnEdges,
     NotClosed,
     StructureMismatch,
     crown_parity_witness,
@@ -17,7 +18,7 @@ from posetlie import (
     enumerate_P,
     verify_group,
 )
-from posetlie.families import crown, from_selector, kmn
+from posetlie.families import crown, from_selector, kmn, suite
 
 DIFFERENTIAL = (
     "crown:2", "crown:3", "crown:4", "kmn:2x3", "kmn:3x3", "star:4", "fence:5",
@@ -140,7 +141,67 @@ class TestDifferential:
                 _check_verdict([identity] + rng.sample(others, k))
 
 
+def _power_order(theta):
+    """The least k >= 1 with theta^k the identity, by composing powers."""
+    identity = EdgeBijection.identity(len(theta.perm))
+    power, k = theta, 1
+    while power != identity:
+        power, k = power.compose(theta), k + 1
+    return k
+
+
+def _literal_dihedral(group, n):
+    """dihedral_witness's question, asked of every pair (r, s) with orders
+    by powers and the span of r and s closed literally."""
+    if group.order != 4 * n:
+        return False
+    identity = EdgeBijection.identity(group.degree)
+    for r in group.elements:
+        if _power_order(r) != 2 * n:
+            continue
+        for s in group.elements:
+            if _power_order(s) != 2 or s.compose(r).compose(s) != r.inverse():
+                continue
+            span, frontier = {identity}, [identity]
+            while frontier:
+                fresh = {a.compose(g) for a in frontier for g in (r, s)} - span
+                span |= fresh
+                frontier = list(fresh)
+            if len(span) == group.order:
+                return True
+    return False
+
+
+def _suite_groups():
+    """AM and P of every suite poset and of crown:4, verified."""
+    posets = dict(suite(), **{"crown:4": crown(4)})
+    for name, poset in sorted(posets.items()):
+        size = len(poset.strict_pairs)
+        yield name, "AM", verify_group(enumerate_AM(poset, bound=size))
+        yield name, "P", verify_group(enumerate_P(poset))
+
+
+class TestElementOrder:
+    def test_cycle_lengths_give_the_power_order_on_the_groups(self):
+        for name, kind, group in _suite_groups():
+            for theta in group.elements:
+                assert group.element_order(theta) == _power_order(theta), (name, kind, theta.perm)
+
+    def test_cycle_lengths_give_the_power_order_on_random_perms(self):
+        rng = random.Random(15)
+        for _ in range(200):
+            degree = rng.randint(1, 12)
+            theta = EdgeBijection(tuple(rng.sample(range(degree), degree)))
+            assert FiniteGroupOnEdges.element_order(theta) == _power_order(theta), theta.perm
+
+
 class TestDihedralWitness:
+    def test_verdicts_match_a_literal_search(self):
+        for name, kind, group in _suite_groups():
+            for n in {1, 2, group.order // 4}:
+                if n:
+                    assert dihedral_witness(group, n) == _literal_dihedral(group, n), (name, kind, n)
+
     def test_proper_crowns_are_dihedral(self):
         for n in (2, 3, 4, 5):
             group = verify_group(enumerate_P(crown(n)))

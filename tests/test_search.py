@@ -115,6 +115,17 @@ def test_listing_sizes_tests_and_searches_its_leaves(name):
     assert (None if witness is None else witness.perm) == expected
 
 
+@pytest.mark.parametrize("name", sorted(LISTING_CASES))
+def test_listing_merges_its_blocks_in_ascending_order(name):
+    # each sweep block runs ascending and the listing merges them lazily:
+    # it must come out strictly ascending, every leaf once
+    poset = LISTING_CASES[name]
+    listing = enumerate_M(poset, bound=len(poset.strict_pairs))
+    perms = [t.perm for t in listing]
+    assert perms == sorted(set(perms))
+    assert len(perms) == len(listing)
+
+
 @pytest.mark.parametrize("n", [12, 14])
 def test_decide_counts_fences_it_could_not_list(n):
     # a fence is a tree of two-element chains, so AM is all of S(B)

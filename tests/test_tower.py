@@ -25,6 +25,7 @@ from posetlie import (
     parse_poset,
     preserves_cut_form,
 )
+from posetlie import bijections
 from posetlie.bijections import _fixed_leaf
 from posetlie.cli import main
 from posetlie.families import from_selector, suite
@@ -66,6 +67,28 @@ def test_tower_lists_the_sweep_listing(name):
     listing = filtered_AM(poset)
     assert len(tower) == len(listing)
     assert list(tower) == listing
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_tower_listing_does_not_depend_on_the_levels_multiplied_out(name, monkeypatch):
+    # from no level but the last multiplied out to the whole group
+    poset = CASES[name]
+    tower = enumerate_AM(poset, bound=len(poset.strict_pairs))
+    listings = []
+    for merged in (1, 4, 32, 10**9):
+        monkeypatch.setattr(bijections, "_MERGED", merged)
+        listings.append(list(tower))
+    assert all(listing == listings[0] for listing in listings)
+    assert listings[0] == sorted(set(listings[0])) and len(listings[0]) == len(tower)
+
+
+def test_tower_of_a_tree_lists_M():
+    # fence:8 is a tree, so AM = M = S(B): the tower and the sweep list
+    # the same 7! elements in the same order
+    poset = from_selector("fence:8")
+    tower, listing = list(enumerate_AM(poset)), list(enumerate_M(poset))
+    assert len(tower) == factorial(7)
+    assert tower == listing
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
