@@ -56,6 +56,7 @@ from .errors import (
     InvalidParameter,
     NotClosed,
     NotInvertible,
+    NotLieAutomorphism,
     NotProperWitness,
     ParseError,
     PosetLieError,

@@ -16,6 +16,7 @@ from .errors import (
     CocycleError,
     InvalidParameter,
     NotInvertible,
+    NotLieAutomorphism,
     NotProperWitness,
     PreconditionError,
 )
@@ -465,14 +466,14 @@ def is_lie_automorphism(mapping):
 def check_proper_decomposition(tau, phi):
     """Split tau as phi + nu and validate the central remainder.
 
-    tau must be a Lie automorphism and phi an automorphism or the negative
+    tau must be a Lie automorphism (NotLieAutomorphism otherwise) and phi an automorphism or the negative
     of an anti-automorphism.  Succeeds iff nu = tau - phi takes values in
     the center and kills the commutator subspace; returns nu.
     """
     if tau.poset != phi.poset or tau.field != phi.field:
         raise InvalidParameter("maps live over different posets or fields")
     if not is_lie_automorphism(tau):
-        raise PreconditionError("tau is not a Lie automorphism")
+        raise NotLieAutomorphism("tau is not a Lie automorphism")
     if not (is_algebra_automorphism(phi) or is_negated_anti_automorphism(phi)):
         raise PreconditionError(
             "phi is neither an automorphism nor the negative of an anti-automorphism"

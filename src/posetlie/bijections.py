@@ -1,8 +1,9 @@
 """Edge bijections of the strict-pair basis: monotonicity, admissibility,
 properness, and the exhaustive enumerators for the three bijection groups.
-M comes from a pruned search over chain images, AM from a stabilizer tower
-of AM = M ∩ Aut(Q), Q the exact cut form of the comparability graph, sized
-without listing it, and P from the poset symmetries.
+M and AM come from one stabilizer tower, sized without listing it, of the
+monotone bijections that keep an integer form on the strict pairs: the
+chain form C for M, the exact cut form Q of the comparability graph for
+AM.  P comes from the poset symmetries.
 
 An EdgeBijection permutes the canonical index set of B = {(x, y) : x < y}.
 The three groups satisfy proper <= admissible-monotone <= monotone, and the
@@ -368,64 +369,17 @@ def _check_bound(poset, bound):
         )
 
 
-def _search(poset):
-    """The monotone bijections, as a Leaves listing of raw tuples.
-
-    The search builds p, the image of each pair: every maximal chain picks
-    one of its monotone images from the chain-image table, which fixes the
-    images of its pairs, and clashing choices are cut.  A leaf records pre,
-    the inverse of p; M is a group, so the leaves still run over M.
-
-    A pair of a two-element chain lies on no other chain, so these chains
-    only permute the two-element targets among themselves.  The ones after
-    the last longer chain are therefore swept by itertools.permutations, not
-    searched chain by chain, and each sweep is kept as one block of a
-    Leaves: at length one that makes the sweep the whole search.
-    """
-    size = len(poset.strict_pairs)
-    if size < 2:
-        return Leaves({tuple(range(size))}, ())
-    table = _chain_images(poset)
-    chains, levels = poset.memo("levels", _levels)
-    swept = 1 + max((k for k, c in enumerate(chains) if len(c) > 2), default=-1)
-    tail = [table[c][0][0] for c in chains[swept:]]
-
-    image = [-1] * size  # entries past the current chain are stale
-    pre = [-1] * size
-    blocks = set()
-
-    def place(k):
-        if k == swept:
-            blocks.add(tuple(pre))
-            return
-        old, new, options = levels[k]
-        for old_images, new_images in options:
-            if (
-                tuple(map(image.__getitem__, old)) != old_images
-                or max(map(pre.__getitem__, new_images), default=-1) >= 0
-            ):
-                continue
-            for src, dst in zip(new, new_images):
-                image[src] = dst
-                pre[dst] = src
-            place(k + 1)
-            for dst in new_images:
-                pre[dst] = -1
-
-    place(0)
-    del place  # a self-recursive closure is a cycle: free it now
-    return Leaves(blocks, tail)
+# -- the invariant forms and the stabilizer tower of M and AM ---------------------
 
 
 def _levels(poset):
-    """The maximal chains in search order, two-element chains last, and per
-    chain: its pairs placed by earlier chains, its new pairs, and their
-    images under each option."""
+    """Per maximal chain, in search order with two-element chains last: its
+    pairs placed by earlier chains, its new pairs, and their images under
+    each of the chain's monotone images."""
     table = _chain_images(poset)
-    chains = sorted(poset.maximal_chains, key=lambda c: len(c) == 2)
     levels = []
     placed = set()
-    for c in chains:
+    for c in sorted(poset.maximal_chains, key=lambda c: len(c) == 2):
         sources, options = table[c]
         old = [k for k, b in enumerate(sources) if b in placed]
         new = [k for k, b in enumerate(sources) if b not in placed]
@@ -435,49 +389,7 @@ def _levels(poset):
             [sources[k] for k in new],
             [(tuple(dsts[k] for k in old), [dsts[k] for k in new]) for dsts in options],
         ))
-    return chains, levels
-
-
-class Leaves:
-    """A search's leaves as sweep blocks, sized and listed on demand.  A
-    block is a row, pre at a sweep with its free slots at -1.  Its leaves,
-    ascending, fill the slots with the permutations of the sorted tail, and
-    the listing merges the blocks lazily.
-    """
-
-    def __init__(self, blocks, tail):
-        self._blocks = blocks
-        self._tail = tuple(sorted(tail))
-
-    def _block(self, row):
-        extra = iter(range(len(row), len(row) + len(self._tail)))
-        pick = operator.itemgetter(*[d if src >= 0 else next(extra) for d, src in enumerate(row)])
-        return map(pick, map(row.__add__, itertools.permutations(self._tail)))
-
-    def __len__(self):
-        return len(self._blocks) * math.factorial(len(self._tail))
-
-    def __iter__(self):
-        # one leaf per block; also |B| < 2, where itemgetter gives no tuple
-        if not self._tail:
-            return map(EdgeBijection, sorted(self._blocks))
-        if len(self._blocks) == 1:
-            return map(EdgeBijection, self._block(*self._blocks))
-        import heapq  # here, so that a CLI call that merges nothing skips it
-
-        return map(EdgeBijection, heapq.merge(*map(self._block, self._blocks)))
-
-    def __contains__(self, theta):
-        return tuple(-1 if src in self._tail else src for src in theta.perm) in self._blocks
-
-
-def enumerate_M(poset, bound=DEFAULT_BOUND):
-    """All monotone bijections, as a Leaves listing in canonical order."""
-    _check_bound(poset, bound)
-    return _search(poset)
-
-
-# -- the cut form and the stabilizer tower of AM ----------------------------------
+    return levels
 
 
 def _build_cut_form(poset):
@@ -520,14 +432,33 @@ def preserves_cut_form(poset, theta):
     return all(tuple(map(form[t].__getitem__, perm)) == row for t, row in zip(perm, form))
 
 
-def _fixed_leaf(poset, fixed):
-    """One theta in AM with theta(b) = fixed[b] for b in fixed, as a perm
-    tuple, or None.  The chain options of _search: each new image must keep
-    Q with every pair placed so far, the fixed pairs placed first.  That
-    also keeps images distinct: e and f with one image would have the same
-    row in Q, and only a 2-cycle would join them."""
-    form = _cut_form(poset)
-    levels = poset.memo("levels", _levels)[1]
+def _build_chain_form(poset):
+    """C as integer rows on the strict pairs: C[b, c] is the number of
+    maximal chains through both b and c.  Theta in M maps each maximal
+    chain's pairs onto another's, so it permutes the maximal chains and
+    keeps C: M = M ∩ Aut(C)."""
+    rows = [[0] * len(poset.strict_pairs) for _ in poset.strict_pairs]
+    for sources, _ in _chain_images(poset).values():
+        for b in sources:
+            for c in sources:
+                rows[b][c] += 1
+    return tuple(map(tuple, rows))
+
+
+def _chain_form(poset):
+    return poset.memo("chain_form", _build_chain_form)
+
+
+def _fixed_leaf(poset, form, fixed):
+    """One theta in M ∩ Aut(form) with theta(b) = fixed[b] for b in fixed,
+    as a perm tuple, or None.  Each maximal chain picks one of its monotone
+    images, the fixed pairs placed first, and each new image must keep the
+    form with every pair placed so far.  That also keeps images distinct:
+    pairs e and f with one image would have equal rows in the form.  In Q,
+    e - f would then be a cycle of two edges, which a simple graph has
+    none of; in C, e and f would share a chain, whose image maps them
+    apart."""
+    levels = poset.memo("levels", _levels)
     image, placed = [-1] * len(form), []
     for b, t in fixed.items():
         image[b] = t
@@ -588,8 +519,28 @@ class Tower:
     def __init__(self, size, transversals):
         self._size, self._transversals = size, transversals
 
-    def __len__(self):
+    @property
+    def order(self):
+        """The group's order, exact where len() stops at sys.maxsize."""
         return math.prod(map(len, self._transversals))
+
+    def __len__(self):
+        return self.order
+
+    def __contains__(self, theta):
+        """Sift theta down the levels: it is u_0 g' with u_0(0) = theta(0)
+        and g' in G_1, and so on; it lies in the group iff each step finds
+        its u and what is left at the end is the identity."""
+        g = theta.perm
+        for i, level in enumerate(self._transversals):
+            u = level.get(g[i])
+            if u is None:
+                return False
+            inverse = [0] * self._size
+            for b, t in enumerate(u):
+                inverse[t] = b
+            g = tuple(map(inverse.__getitem__, g))
+        return g == tuple(range(self._size))
 
     def __iter__(self):
         identity = tuple(range(self._size))
@@ -629,19 +580,17 @@ def _tower_walk(head, tail, i, g):
     )
 
 
-def enumerate_AM(poset, bound=DEFAULT_BOUND):
-    """All admissible monotone bijections, AM = M ∩ Aut(Q), as a Tower in
-    canonical order, one leaf search per orbit point at most.
+def _tower(poset, form):
+    """M ∩ Aut(form) as a Tower, one leaf search per orbit point at most.
 
-    A target t of base point i is a candidate only if it matches i in Q's
-    diagonal, sorted row and entries on the pairs before i; the tower stops
-    where every pair left has its own such invariant.  Levels are built
-    from the last up, so every leaf found so far lies in G_i and closes the
-    orbit of i (McKay's individualization); a candidate outside the closure
-    costs one _fixed_leaf search.
+    A target t of base point i is a candidate only if it matches i in the
+    form's diagonal, sorted row and entries on the pairs before i; the
+    tower stops where every pair left has its own such invariant.  Levels
+    are built from the last up, so every leaf found so far lies in G_i and
+    closes the orbit of i (McKay's individualization); a candidate outside
+    the closure costs one _fixed_leaf search.
     """
-    _check_bound(poset, bound)
-    form, size = _cut_form(poset), len(poset.strict_pairs)
+    size = len(form)
     ids = {}  # one id per invariant, shared by every refinement below
     cell = [ids.setdefault((row[b], tuple(sorted(row))), len(ids)) for b, row in enumerate(form)]
     candidates = []
@@ -654,12 +603,26 @@ def enumerate_AM(poset, bound=DEFAULT_BOUND):
         orbit = _close({i: identity}, gens)
         for t in candidates[i]:
             if t not in orbit:
-                leaf = _fixed_leaf(poset, dict(enumerate(identity[:i] + (t,))))
+                leaf = _fixed_leaf(poset, form, dict(enumerate(identity[:i] + (t,))))
                 if leaf is not None:
                     gens.append(leaf)
                     _close(orbit, gens)
         transversals.insert(0, orbit)
     return Tower(size, transversals)
+
+
+def enumerate_M(poset, bound=DEFAULT_BOUND):
+    """All monotone bijections, M = M ∩ Aut(C), as a Tower in canonical
+    order."""
+    _check_bound(poset, bound)
+    return _tower(poset, _chain_form(poset))
+
+
+def enumerate_AM(poset, bound=DEFAULT_BOUND):
+    """All admissible monotone bijections, AM = M ∩ Aut(Q), as a Tower in
+    canonical order."""
+    _check_bound(poset, bound)
+    return _tower(poset, _cut_form(poset))
 
 
 # -- compatible sign maps --------------------------------------------------------

@@ -263,13 +263,13 @@ def decide_all_proper(poset, bound=DEFAULT_BOUND):
     if not all(in_M(poset, t) and preserves_cut_form(poset, t) for t in generators.values()):
         raise WellDefinednessError("proper bijections escaped the admissible group")
     counterexample = None
-    if len(admissible) != len(proper):
+    if admissible.order != len(proper):
         perms = {t.perm for t in proper}
         counterexample = next(t for t in admissible if t.perm not in perms)
     return ProperVerdict(
         all_proper=counterexample is None,
         counterexample=counterexample,
-        am_order=len(admissible),
+        am_order=admissible.order,
         p_order=len(proper),
         class_count=len(chain_classes(poset)),
     )

@@ -145,7 +145,7 @@ def cmd_enumerate(args):
     poset = _load_poset(args)
     if args.group == "m":
         elements = bij.enumerate_M(poset, bound=args.bound)  # counted, listed only in JSON
-        report = {"order": len(elements)}
+        report = {"order": elements.order}
     else:
         am = args.group == "am"
         group = grp.verify_group(bij.enumerate_AM(poset, args.bound) if am else bij.enumerate_P(poset))
@@ -161,7 +161,7 @@ def cmd_enumerate(args):
             sep = ","
         print("]," + _dump({"group": args.group, "structure": report})[1:])
     else:
-        print("order: %d" % len(elements))
+        print("order: %d" % report["order"])
         if "element_order_histogram" in report:
             histogram = ", ".join(
                 "%s:%d" % (k, v)

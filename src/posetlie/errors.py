@@ -25,6 +25,10 @@ class PreconditionError(PosetLieError):
     """An operation was called outside its documented domain."""
 
 
+class NotLieAutomorphism(PreconditionError):
+    """A map asked to be a Lie automorphism is not one."""
+
+
 class CocycleError(PosetLieError):
     """A candidate scaling map is not multiplicative on composable pairs."""
 

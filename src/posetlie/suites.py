@@ -15,7 +15,7 @@ from . import families as fam
 from . import groups as grp
 from . import linalg
 from . import poset as pst
-from .errors import ExtractionError, PreconditionError
+from .errors import ExtractionError, NotLieAutomorphism, PreconditionError
 from .fields import RATIONALS
 
 
@@ -47,8 +47,8 @@ def crown_orders():
         out.append(
             _check(
                 "am_order_crown_%d" % n,
-                len(am) == expected == 2 * factorial(n) ** 2,
-                "|AM| = %d, expected %d" % (len(am), expected),
+                am.order == expected == 2 * factorial(n) ** 2,
+                "|AM| = %d, expected %d" % (am.order, expected),
             )
         )
     for n in range(2, 6):
@@ -230,8 +230,8 @@ def example6_block():
     out.append(
         _check(
             "example6_am_order",
-            len(admissible) == 2 and identity in admissible,
-            "|AM| = %d" % len(admissible),
+            admissible.order == 2 and identity in admissible,
+            "|AM| = %d" % admissible.order,
         )
     )
     out.append(
@@ -348,9 +348,10 @@ def algebra_block(field=RATIONALS):
             # its answer is the Lie check, so the question is asked once
             try:
                 nu = alg.check_proper_decomposition(candidate, candidate)
-            except PreconditionError as err:
-                if str(err) == "tau is not a Lie automorphism":
-                    lie_ok = False
+            except NotLieAutomorphism:
+                lie_ok = decomposition_ok = False
+                continue
+            except PreconditionError:
                 decomposition_ok = False
                 continue
             if not all(c.is_zero() for c in nu.columns):
@@ -414,13 +415,16 @@ def properties_block():
     out.append(_check("incdec_shared_pair_is_span", violations_pair == 0))
     out.append(_check("incdec_shared_element_extremal", violations_elem == 0))
 
-    # cyclic shift and reversal invariance of the counting identity
+    # cyclic shift and reversal invariance of the counting identity; chain:3
+    # serves both loops, and so does each of its thetas' stats tables, while
+    # the other posets' tables go with their theta
+    chain3 = fam.chain(3)
+    shared = {chain3: {}}
     shift_bad = 0
-    for name, poset in (("crown:2", fam.crown(2)), ("chain:3", fam.chain(3)), ("kmn:2x3", fam.kmn(2, 3))):
+    for poset in (fam.crown(2), chain3, fam.kmn(2, 3)):
         walks = pst.closed_semiwalks(poset, 5)
-        thetas = list(bij.enumerate_M(poset))[:24]
-        for theta in thetas:
-            stats = {}
+        for theta in list(bij.enumerate_M(poset))[:24]:
+            stats = shared.get(poset, {}).setdefault(theta, {})
             for walk in walks:
                 body = walk[:-1]
                 shifted = body[1:] + body[:1] + (body[1],)
@@ -440,10 +444,10 @@ def properties_block():
 
     # collapsing a monotone run preserves both signed differences
     collapse_bad = 0
-    for poset in (fam.chain(3), fam.chain(4), fam.example6()):
+    for poset in (chain3, fam.chain(4), fam.example6()):
         walks = pst.closed_semiwalks(poset, 6)
         for theta in bij.enumerate_M(poset):
-            stats = {}
+            stats = shared.get(poset, {}).setdefault(theta, {})
             for walk in walks:
                 for k in range(len(walk) - 2):
                     a, b, c = walk[k], walk[k + 1], walk[k + 2]

@@ -40,7 +40,8 @@ def test_c02_crown_properness_dichotomy():
 
 def test_c03_bipartite_all_proper():
     """K_{2,3} and K_{3,3}: every admissible bijection is proper, group
-    orders 12 and 72 (the latter sweeps all 9! candidates)."""
+    orders 12 and 72, the latter sized by the stabilizer tower rather than
+    a scan of all 9! candidates."""
     _run_block("criterion-3", suites.bipartite)
 
 

@@ -13,6 +13,7 @@ from posetlie import (
     InvalidParameter,
     MapKind,
     NotInvertible,
+    NotLieAutomorphism,
     NotProperWitness,
     PreconditionError,
     bracket,
@@ -448,10 +449,12 @@ class TestProperDecomposition:
     def test_preconditions_checked(self):
         p = chain(2)
         ident = LinearMapOnIA.identity(p)
-        with pytest.raises(PreconditionError):
+        # a tau that is not Lie gets its own PreconditionError subtype
+        with pytest.raises(NotLieAutomorphism, match="^tau is not a Lie automorphism$"):
             check_proper_decomposition(LinearMapOnIA.zero(p), ident)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError) as bad_phi:
             check_proper_decomposition(ident, LinearMapOnIA.zero(p))
+        assert not isinstance(bad_phi.value, NotLieAutomorphism)
 
 
 class TestSerialization:
@@ -477,7 +480,8 @@ class TestSerialization:
 
 def test_algebra_block_reports_a_candidate_that_is_not_lie(monkeypatch):
     # twice an induced map breaks every nonzero bracket; the block reads
-    # that off check_proper_decomposition's error and fails both checks
+    # that off check_proper_decomposition's NotLieAutomorphism and fails
+    # both checks
     from posetlie import suites
 
     induced = suites.alg.induced_map

@@ -416,7 +416,7 @@ class TestEnumerators:
     @pytest.mark.parametrize("poset", MIXED_LENGTH_POSETS, ids=MIXED_LENGTH_NAMES)
     def test_chain_assignment_on_mixed_chain_sizes(self, poset):
         # posets whose maximal chains have different sizes are the hard case
-        # for the assignment backtracking; sweep all of S(B) to compare
+        # for the tower's leaf search; filter all of S(B) to compare
         import itertools
 
         size = len(poset.strict_pairs)

@@ -1,6 +1,7 @@
 """The command-line surface: outputs, formats, and exit codes."""
 
 import json
+from math import factorial
 
 import pytest
 
@@ -111,6 +112,19 @@ def test_enumerate_m_text_counts_without_listing(capsys):
     code, out = run(capsys, "enumerate", "m", "--family", "fence:10")
     assert code == 0
     assert out == "order: 362880\n"
+
+
+def test_orders_past_the_index_size_are_exact(capsys):
+    # fence:22 is a tree of 21 pairs: |M| = |AM| = 21!, above sys.maxsize,
+    # where len() stops
+    code, out = run(capsys, "decide", "--family", "fence:22", "--bound", "40", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["am_order"], data["p_order"]) == (factorial(21), 2)
+    assert data["all_proper"] is False
+    code, out = run(capsys, "enumerate", "m", "--family", "fence:22", "--bound", "40")
+    assert code == 0
+    assert out == "order: 51090942171709440000\n"
 
 
 def test_decide_crown3(capsys):

@@ -1,7 +1,7 @@
-"""enumerate_M's pruned search and enumerate_AM's stabilizer tower: both
-against a literal filter of all of S(B), M's sized listing against the
-leaves it lists, the tower against M filtered by the cycle-basis test, and
-on sizes the old |B|! scan could not reach."""
+"""enumerate_M's and enumerate_AM's stabilizer towers: both against a
+literal filter of all of S(B), each tower's size and membership test
+against the elements it lists, AM against M filtered by the cycle-basis
+test, and on sizes the old |B|! scan could not reach."""
 
 import itertools
 import random
@@ -109,6 +109,9 @@ def test_listing_sizes_tests_and_searches_its_leaves(name):
     admissible = filtered_AM(poset)
     assert len(tower) == len(admissible)
     assert list(tower) == admissible
+    perms = {t.perm for t in admissible}
+    for theta in monotone + randoms:
+        assert (theta in tower) == (theta.perm in perms), theta.perm
     witness = decide_all_proper(poset, bound=size).counterexample
     proper = {t.perm for t in enumerate_P(poset)}
     expected = min({t.perm for t in admissible} - proper, default=None)
@@ -117,8 +120,9 @@ def test_listing_sizes_tests_and_searches_its_leaves(name):
 
 @pytest.mark.parametrize("name", sorted(LISTING_CASES))
 def test_listing_merges_its_blocks_in_ascending_order(name):
-    # each sweep block runs ascending and the listing merges them lazily:
-    # it must come out strictly ascending, every leaf once
+    # the tower walk orders each level by the image of its base point and
+    # sorts the multiplied-out last levels: M must come out strictly
+    # ascending, every element once
     poset = LISTING_CASES[name]
     listing = enumerate_M(poset, bound=len(poset.strict_pairs))
     perms = [t.perm for t in listing]

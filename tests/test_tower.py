@@ -1,8 +1,11 @@
-"""enumerate_AM's stabilizer tower against references that use no Q:
-Q-preservation against the cycle-basis test on all of M, the tower and its
-leaf search against M filtered by that test, and decide's verdict against a
+"""The stabilizer tower of M and AM against references that use neither
+form: Q-preservation against the cycle-basis test on all of M, the chain
+form against a literal count of maximal chains kept by every element of a
+literal filter of S(B), the AM tower and the leaf search of both forms
+against listings made without that form, and decide's verdict against a
 listing-based one; then sizes that no listing reaches."""
 
+import itertools
 import json
 import random
 import time
@@ -11,6 +14,7 @@ from math import factorial
 import pytest
 
 from helpers import (
+    brute_monotone,
     filtered_AM,
     listing_decision,
     mixed_length_posets,
@@ -18,6 +22,7 @@ from helpers import (
     random_connected_poset,
 )
 from posetlie import (
+    EdgeBijection,
     decide_all_proper,
     enumerate_AM,
     enumerate_M,
@@ -26,7 +31,7 @@ from posetlie import (
     preserves_cut_form,
 )
 from posetlie import bijections
-from posetlie.bijections import _fixed_leaf
+from posetlie.bijections import _chain_form, _cut_form, _fixed_leaf
 from posetlie.cli import main
 from posetlie.families import from_selector, suite
 
@@ -59,9 +64,56 @@ def test_preserving_q_is_admissibility_on_M(name):
         assert preserves_cut_form(poset, theta) == is_admissible(poset, theta), theta.perm
 
 
+def _brute_M(poset):
+    """M as the literal filter of all of S(B), in ascending order."""
+    size = len(poset.strict_pairs)
+    return [
+        theta.perm
+        for theta in map(EdgeBijection, itertools.permutations(range(size)))
+        if brute_monotone(poset, theta)
+    ]
+
+
+def _small_posets():
+    out = dict(mixed_length_posets())
+    rng = random.Random(29)
+    while len(out) < 24:
+        poset = random_connected_poset(rng, rng.randint(4, 6))
+        if len(poset.strict_pairs) <= 7:
+            out["random%02d" % len(out)] = poset
+    return out
+
+
+SMALL = _small_posets()
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_every_monotone_bijection_keeps_the_chain_form(name):
+    # C[b, c] counts the maximal chains holding both pairs, read literally
+    # off the chains' elements, and every element of M keeps it
+    poset = SMALL[name]
+    pairs = poset.strict_pairs
+    holds = [
+        {(x, y) for x in chain for y in chain if poset.lt(x, y)}
+        for chain in poset.maximal_chains
+    ]
+    form = _chain_form(poset)
+    assert form == tuple(
+        tuple(sum(b in held and c in held for held in holds) for c in pairs) for b in pairs
+    )
+    monotone = _brute_M(poset)
+    assert monotone
+    for perm in monotone:
+        assert all(
+            form[perm[b]][perm[c]] == form[b][c]
+            for b in range(len(pairs))
+            for c in range(len(pairs))
+        ), perm
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_tower_lists_the_sweep_listing(name):
-    # the listing is M's, filtered by the cycle-basis test
+    # the tower lists M's own listing filtered by the cycle-basis test
     poset = CASES[name]
     tower = enumerate_AM(poset, bound=len(poset.strict_pairs))
     listing = filtered_AM(poset)
@@ -83,7 +135,7 @@ def test_tower_listing_does_not_depend_on_the_levels_multiplied_out(name, monkey
 
 
 def test_tower_of_a_tree_lists_M():
-    # fence:8 is a tree, so AM = M = S(B): the tower and the sweep list
+    # fence:8 is a tree, so AM = M = S(B): the towers of Q and of C list
     # the same 7! elements in the same order
     poset = from_selector("fence:8")
     tower, listing = list(enumerate_AM(poset)), list(enumerate_M(poset))
@@ -91,17 +143,31 @@ def test_tower_of_a_tree_lists_M():
     assert tower == listing
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_a_leaf_exists_for_every_prefix_the_listing_has(name):
-    # fix the first i pairs and send pair i to t: the leaf search finds an
-    # element of AM doing so exactly when filtered_AM's listing holds one
+# Q against AM as filtered_AM lists it, on every case, and C against the
+# literal filter of S(B), where |B| <= 7 keeps that filter small; the Q
+# cases keep their plain ids
+LEAF_CASES = [pytest.param(name, "Q", id=name) for name in sorted(CASES)] + [
+    pytest.param(name, "C", id=name + "-C")
+    for name in sorted(CASES)
+    if len(CASES[name].strict_pairs) <= 7
+]
+
+
+@pytest.mark.parametrize("name, form", LEAF_CASES)
+def test_a_leaf_exists_for_every_prefix_the_listing_has(name, form):
+    # fix the first i pairs and send pair i to t: the leaf search of the
+    # form finds an element of its group doing so exactly when the
+    # reference listing holds one
     poset = CASES[name]
     size = len(poset.strict_pairs)
-    listed = [t.perm for t in filtered_AM(poset)]
+    if form == "Q":
+        matrix, listed = _cut_form(poset), [t.perm for t in filtered_AM(poset)]
+    else:
+        matrix, listed = _chain_form(poset), _brute_M(poset)
     for i in range(min(size, 4)):
         for t in range(i, size):
             prefix = tuple(range(i)) + (t,)
-            leaf = _fixed_leaf(poset, dict(enumerate(prefix)))
+            leaf = _fixed_leaf(poset, matrix, dict(enumerate(prefix)))
             assert (leaf is not None) == any(p[: i + 1] == prefix for p in listed)
             if leaf is not None:
                 assert leaf[: i + 1] == prefix and leaf in listed
