@@ -33,7 +33,6 @@ from .bijections import (
     is_admissible_oracle,
     is_compatible,
     is_separating,
-    preserves_cut_form,
     proper_witness,
     satisfies_crown_criterion,
 )

@@ -147,14 +147,11 @@ class IncidenceElement:
         )
 
     def to_vector(self):
-        """Dense coefficients over the sorted basis of comparable pairs."""
-        zero = self.field.zero
-        return [self.coeffs.get(pair, zero) for pair in self.poset.all_pairs]
+        return _vector(self.poset, self.coeffs, self.field)
 
     @classmethod
     def from_vector(cls, poset, vector, field=RATIONALS):
-        coeffs = {pair: v for pair, v in zip(poset.all_pairs, vector) if v}
-        return cls(poset, coeffs, field)
+        return cls(poset, _coeffs(poset, vector), field)
 
     def to_json(self):
         return {
@@ -214,15 +211,17 @@ class LinearMapOnIA:
         return len(self.columns)
 
     def apply(self, element):
+        return IncidenceElement._of(self.poset, self._image(element.coeffs), self.field)
+
+    def _image(self, coeffs):
+        """The nonzero coefficients of the image of the element with these."""
         index = self.poset.all_pair_index
         zero = self.field.zero
-        coeffs = {}
-        for pair, value in element.coeffs.items():
+        out = {}
+        for pair, value in coeffs.items():
             for key, c in self.columns[index[pair]].coeffs.items():
-                coeffs[key] = coeffs.get(key, zero) + value * c
-        return IncidenceElement._of(
-            self.poset, {k: v for k, v in coeffs.items() if v}, self.field
-        )
+                out[key] = out.get(key, zero) + value * c
+        return {k: v for k, v in out.items() if v}
 
     def compose(self, other):
         """self after other."""
@@ -268,7 +267,11 @@ class LinearMapOnIA:
 
 
 def _per_poset(build):
-    """Cache build(poset, field) on the poset instance, keyed by (name, field)."""
+    """Cache build(poset, field) on the poset instance, keyed by (name, field).
+
+    The tables hold coefficient dicts, not IncidenceElements: an element
+    points back at its poset, which would keep the poset in a reference
+    cycle through its own memo."""
     name = build.__name__
 
     @functools.wraps(build)
@@ -282,12 +285,23 @@ def _basis_elements(poset, field):
     return [IncidenceElement.basis(poset, x, y, field) for (x, y) in poset.all_pairs]
 
 
+def _vector(poset, coeffs, field):
+    """Dense coefficients over the sorted basis of comparable pairs."""
+    zero = field.zero
+    return [coeffs.get(pair, zero) for pair in poset.all_pairs]
+
+
+def _coeffs(poset, vector):
+    return {pair: v for pair, v in zip(poset.all_pairs, vector) if v}
+
+
 @_per_poset
 def _basis_brackets(poset, field):
-    """(i, j, [e_i, e_j]) for every pair i < j of basis indices."""
+    """(i, j, coefficients of [e_i, e_j]) for every pair i < j of basis
+    indices."""
     elements = _basis_elements(poset, field)
     return tuple(
-        (i, j, bracket(a, elements[j]))
+        (i, j, bracket(a, elements[j]).coeffs)
         for i, a in enumerate(elements)
         for j in range(i + 1, len(elements))
     )
@@ -295,37 +309,32 @@ def _basis_brackets(poset, field):
 
 @_per_poset
 def _basis_products(poset, field):
-    """(i, j, e_i e_j) for every pair of basis indices."""
+    """(i, j, coefficients of e_i e_j) for every pair of basis indices."""
     elements = _basis_elements(poset, field)
     return tuple(
-        (i, j, a * b) for i, a in enumerate(elements) for j, b in enumerate(elements)
+        (i, j, (a * b).coeffs) for i, a in enumerate(elements) for j, b in enumerate(elements)
     )
 
 
 @_per_poset
 def _commutator_subspace_cached(poset, field):
-    rows = [
-        lie.to_vector()
-        for _, _, lie in _basis_brackets(poset, field)
-        if not lie.is_zero()
-    ]
-    basis, pivots = linalg.row_reduce(rows)
-    return tuple(
-        IncidenceElement.from_vector(poset, row, field) for row in basis
-    ), tuple(pivots)
+    rows = [_vector(poset, lie, field) for _, _, lie in _basis_brackets(poset, field) if lie]
+    basis, _ = linalg.row_reduce(rows)
+    return tuple(_coeffs(poset, row) for row in basis)
 
 
 def commutator_subspace(poset, field=RATIONALS):
     """Row-reduced basis of the span of all brackets of basis elements."""
-    basis, _ = _commutator_subspace_cached(poset, field)
-    return list(basis)
+    return [
+        IncidenceElement._of(poset, dict(c), field)
+        for c in _commutator_subspace_cached(poset, field)
+    ]
 
 
 @_per_poset
 def _center_cached(poset, field):
     elements = _basis_elements(poset, field)
     dim = len(elements)
-    zero = field.zero
     # unknown z = sum z_i b_i; constraints: [z, b_j] = 0 for every j
     rows = []
     for gen in elements:
@@ -335,12 +344,12 @@ def _center_cached(poset, field):
             if any(row):
                 rows.append(row)
     sols = linalg.nullspace(rows, dim, field.one)
-    return tuple(IncidenceElement.from_vector(poset, v, field) for v in sols)
+    return tuple(_coeffs(poset, v) for v in sols)
 
 
 def center(poset, field=RATIONALS):
     """Basis of {z : [z, f] = 0 for all f}; the span of delta when connected."""
-    return list(_center_cached(poset, field))
+    return [IncidenceElement._of(poset, dict(c), field) for c in _center_cached(poset, field)]
 
 
 # -- the classical map constructors -------------------------------------------
@@ -438,7 +447,7 @@ def _preserves_products(mapping, flip):
     columns = mapping.columns
     for i, j, product in _basis_products(mapping.poset, mapping.field):
         fa, fb = columns[i], columns[j]
-        if mapping.apply(product) != (fb * fa if flip else fa * fb):
+        if mapping._image(product) != (fb * fa if flip else fa * fb).coeffs:
             return False
     return True
 
@@ -458,7 +467,7 @@ def is_lie_automorphism(mapping):
         return False
     columns = mapping.columns
     return all(
-        mapping.apply(lie) == bracket(columns[i], columns[j])
+        mapping._image(lie) == bracket(columns[i], columns[j]).coeffs
         for i, j, lie in _basis_brackets(mapping.poset, mapping.field)
     )
 
@@ -495,6 +504,6 @@ def check_proper_decomposition(tau, phi):
 
 @_per_poset
 def _center_span(poset, field):
-    vectors = [z.to_vector() for z in _center_cached(poset, field)]
+    vectors = [_vector(poset, z, field) for z in _center_cached(poset, field)]
     basis, pivots = linalg.row_reduce(vectors)
     return basis, pivots

@@ -3,11 +3,12 @@ properness, and the exhaustive enumerators for the three bijection groups.
 M and AM come from one stabilizer tower, sized without listing it, of the
 monotone bijections that keep an integer form on the strict pairs: the
 chain form C for M, the exact cut form Q of the comparability graph for
-AM.  P comes from the poset symmetries.
+AM.  P's tower is read off the poset symmetries.
 
 An EdgeBijection permutes the canonical index set of B = {(x, y) : x < y}.
-The three groups satisfy proper <= admissible-monotone <= monotone, and the
-enumerators return canonical (sorted) results so runs are reproducible.
+The three groups satisfy proper <= admissible-monotone <= monotone.  Each
+enumerator returns a Tower, which lists its group in canonical (sorted)
+order so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -229,16 +230,8 @@ def _build_steps(poset, walks, *args):
     return tuple(out)
 
 
-def _cycle_basis(poset):
-    return poset.cycle_basis
-
-
 def _crown_cycles(poset):
     return (c.cycle() for c in weak_crowns(poset))
-
-
-def _basis_steps(poset):
-    return poset.memo("cycle_basis", _build_steps, _cycle_basis)
 
 
 def _crown_steps(poset):
@@ -276,12 +269,17 @@ def _balanced_on_steps(poset, inverse_perm, steps_lists):
 def is_admissible(poset, theta):
     """Whether the counting identity holds on every closed semiwalk.
 
-    The identity is linear in a walk's signed step counts, and the
-    fundamental cycles of the comparability graph span the integer cycle
-    space, so checking it on ``poset.cycle_basis`` suffices.
+    The identity is linear in a walk's signed step counts, and on a closed
+    semiwalk it says that theta^-1 maps the walk's net step vector to a
+    vector with no boundary, a cycle.  So it holds on every closed semiwalk
+    iff theta keeps the cycle space of the comparability graph, and, theta
+    being orthogonal, iff it keeps the cut form Q, the projection onto the
+    cut space, the cycle space's complement: Q[theta(a), theta(b)] = Q[a, b]
+    for all strict pairs a, b.
     """
     chain_action(poset, theta)
-    return _balanced_on_steps(poset, theta.inverse().perm, _basis_steps(poset))
+    form, perm = _cut_form(poset), theta.perm
+    return all(tuple(map(form[t].__getitem__, perm)) == row for t, row in zip(perm, form))
 
 
 def satisfies_crown_criterion(poset, theta):
@@ -354,11 +352,6 @@ def is_separating(poset, theta):
 # -- enumerators ----------------------------------------------------------------
 
 
-def enumerate_P(poset):
-    """All proper bijections, via the poset symmetries, deduplicated."""
-    return [EdgeBijection(p) for p in sorted(_proper_table(poset))]
-
-
 def _check_bound(poset, bound):
     size = len(poset.strict_pairs)
     if size > bound:
@@ -400,8 +393,7 @@ def _build_cut_form(poset):
     L0 the Laplacian grounded at element 0 and d_0 = 0.  Fraction-free
     Gauss-Jordan elimination (Bareiss) turns [L0 | D0], D0 the incidence
     matrix without row 0, into [det(L0)·I | X]; row e is X[p] - X[q].
-    Permutations are orthogonal, so theta keeps the cycle space, as
-    is_admissible asks, iff it keeps Q: AM = M ∩ Aut(Q).
+    is_admissible asks whether theta keeps Q: AM = M ∩ Aut(Q).
     """
     m, pairs = poset.n - 1, poset.strict_pairs
     rows = []
@@ -424,12 +416,6 @@ def _build_cut_form(poset):
 
 def _cut_form(poset):
     return poset.memo("cut_form", _build_cut_form)
-
-
-def preserves_cut_form(poset, theta):
-    """Whether Q[theta(a), theta(b)] = Q[a, b] for all strict pairs a, b."""
-    form, perm = _cut_form(poset), theta.perm
-    return all(tuple(map(form[t].__getitem__, perm)) == row for t, row in zip(perm, form))
 
 
 def _build_chain_form(poset):
@@ -530,9 +516,15 @@ class Tower:
     def __contains__(self, theta):
         """Sift theta down the levels: it is u_0 g' with u_0(0) = theta(0)
         and g' in G_1, and so on; it lies in the group iff each step finds
-        its u and what is left at the end is the identity."""
+        its u and what is left at the end is the identity.  Where g fixes
+        the base point, u is the identity and the step changes nothing.  A
+        bijection of another degree is in no group of this one."""
         g = theta.perm
+        if len(g) != self._size:
+            return False
         for i, level in enumerate(self._transversals):
+            if g[i] == i:
+                continue
             u = level.get(g[i])
             if u is None:
                 return False
@@ -541,6 +533,11 @@ class Tower:
                 inverse[t] = b
             g = tuple(map(inverse.__getitem__, g))
         return g == tuple(range(self._size))
+
+    def transversal_elements(self):
+        """The distinct elements of the transversals, which generate the
+        group."""
+        return map(EdgeBijection, {u for level in self._transversals for u in level.values()})
 
     def __iter__(self):
         identity = tuple(range(self._size))
@@ -623,6 +620,22 @@ def enumerate_AM(poset, bound=DEFAULT_BOUND):
     canonical order."""
     _check_bound(poset, bound)
     return _tower(poset, _cut_form(poset))
+
+
+def enumerate_P(poset):
+    """All proper bijections, via the poset symmetries, as a Tower in
+    canonical order.  Level i holds, per target t, the least proper perm
+    whose first moved pair is i and that sends i to t: the perms are read
+    in ascending order, so the first one found is the least."""
+    size = len(poset.strict_pairs)
+    identity, transversals = tuple(range(size)), []
+    for perm in sorted(_proper_table(poset)):
+        i = next((b for b, t in enumerate(perm) if b != t), size)
+        if i < size:
+            while len(transversals) <= i:
+                transversals.append({len(transversals): identity})
+            transversals[i].setdefault(perm[i], perm)
+    return Tower(size, transversals)
 
 
 # -- compatible sign maps --------------------------------------------------------

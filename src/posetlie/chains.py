@@ -14,8 +14,6 @@ from .bijections import (
     chain_action,
     enumerate_AM,
     enumerate_P,
-    in_M,
-    preserves_cut_form,
 )
 from .errors import ExtractionError, PreconditionError, WellDefinednessError
 from .poset import MapKind
@@ -253,23 +251,17 @@ def decide_all_proper(poset, bound=DEFAULT_BOUND):
     """
     admissible = enumerate_AM(poset, bound)
     proper = enumerate_P(poset)
-    # P is a group, so it lies in AM once these generators do: per pair i and
-    # target t, the first element of P that fixes every pair before i and
-    # maps i to t, a Schreier transversal of P's tower on the base 0, 1, ...
-    generators = {}
-    for theta in proper:
-        i = next((b for b, t in enumerate(theta.perm) if b != t), len(theta.perm))
-        generators.setdefault(theta.perm[: i + 1], theta)
-    if not all(in_M(poset, t) and preserves_cut_form(poset, t) for t in generators.values()):
+    # P is a group, so it lies in AM once the elements of its transversals,
+    # which generate it, sift through AM's tower
+    if not all(t in admissible for t in proper.transversal_elements()):
         raise WellDefinednessError("proper bijections escaped the admissible group")
     counterexample = None
-    if admissible.order != len(proper):
-        perms = {t.perm for t in proper}
-        counterexample = next(t for t in admissible if t.perm not in perms)
+    if admissible.order != proper.order:
+        counterexample = next(t for t in admissible if t not in proper)
     return ProperVerdict(
         all_proper=counterexample is None,
         counterexample=counterexample,
         am_order=admissible.order,
-        p_order=len(proper),
+        p_order=proper.order,
         class_count=len(chain_classes(poset)),
     )

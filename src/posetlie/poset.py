@@ -1,5 +1,5 @@
-"""Finite connected posets: relations, chains, crowns, semiwalks, cycle
-bases, symmetries.
+"""Finite connected posets: relations, chains, crowns, semiwalks,
+symmetries.
 
 Elements are indexed ``0..n-1`` in input order; every derived sequence is
 sorted by index so results are reproducible across runs.  All structures are
@@ -267,44 +267,6 @@ class Poset:
     @cached_property
     def maximal_chain_set(self):
         return frozenset(self.maximal_chains)
-
-    @cached_property
-    def cycle_basis(self):
-        """Fundamental cycles of the comparability graph, shortest first.
-
-        A BFS tree from element 0 over all strict comparabilities leaves
-        |B| - n + 1 pairs (x, y) outside it.  Each closes one walk: the tree
-        path from x to the common ancestor, on to y, and back to x.  These
-        cycles span the integer cycle space (Kirchhoff), so every closed
-        semiwalk's signed step counts are an integer combination of theirs.
-        """
-        parent = [-1] * self.n
-        depth = [0] * self.n
-        seen = [False] * self.n
-        seen[0] = True
-        order = [0]
-        for u in order:
-            for v in self.above[u] + self.below[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    parent[v] = u
-                    depth[v] = depth[u] + 1
-                    order.append(v)
-        cycles = []
-        for x, y in self.strict_pairs:
-            if parent[x] == y or parent[y] == x:
-                continue
-            up, down = [x], [y]  # x and y climb to their common ancestor
-            while depth[up[-1]] > depth[down[-1]]:
-                up.append(parent[up[-1]])
-            while depth[down[-1]] > depth[up[-1]]:
-                down.append(parent[down[-1]])
-            while up[-1] != down[-1]:
-                up.append(parent[up[-1]])
-                down.append(parent[down[-1]])
-            cycles.append(tuple(up + down[-2::-1] + [x]))
-        cycles.sort(key=len)
-        return tuple(cycles)
 
     @cached_property
     def _memo(self):

@@ -250,7 +250,7 @@ def example6_block():
 
 
 def oracle_equivalence():
-    """The cycle-basis check, the crown criterion and the semiwalk oracle at
+    """The cut-form check, the crown criterion and the semiwalk oracle at
     length 8 agree on every monotone bijection."""
     out = []
     for name, poset in _small_suite(6):

@@ -406,14 +406,64 @@ def brute_semiwalk_admissible(poset, theta, max_length):
     )
 
 
+def fundamental_cycles(poset):
+    """One closed walk per strict pair (x, y) outside a BFS spanning tree of
+    the comparability graph: the tree path from x to the common ancestor, on
+    to y, and back to x.  They span the integer cycle space (Kirchhoff)."""
+    parent = {0: None}
+    order = [0]
+    for u in order:
+        for v in range(poset.n):
+            if v not in parent and (poset.lt(u, v) or poset.lt(v, u)):
+                parent[v] = u
+                order.append(v)
+
+    def to_root(x):
+        path = [x]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        return path
+
+    cycles = []
+    for x, y in poset.strict_pairs:
+        if parent[x] == y or parent[y] == x:
+            continue
+        up, down = to_root(x), to_root(y)
+        while len(up) > 1 and len(down) > 1 and up[-2] == down[-2]:
+            up.pop()
+            down.pop()
+        cycles.append(tuple(up + down[-2::-1] + [x]))
+    return cycles
+
+
+def keeps_cycle_space(poset, theta, cycles=None):
+    """Whether theta^-1 maps the net step vector of every fundamental cycle
+    (or of every walk in cycles) to a cycle: a vector whose boundary,
+    +count at the lower end and -count at the upper end of each pair, is
+    zero.  Then theta keeps the cycle space, which is the counting identity
+    on every closed semiwalk."""
+    pairs = poset.strict_pairs
+    inverse = {t: b for b, t in enumerate(theta.perm)}
+    for walk in fundamental_cycles(poset) if cycles is None else cycles:
+        boundary = [0] * poset.n
+        for b, count in literal_net_steps(poset, walk):
+            p, q = pairs[inverse[b]]
+            boundary[p] += count
+            boundary[q] -= count
+        if any(boundary):
+            return False
+    return True
+
+
 def filtered_AM(poset):
     """AM without Q: the listing of M, in canonical order, filtered by the
-    cycle-basis test."""
-    from posetlie import enumerate_M, is_admissible
+    literal cycle-space test."""
+    from posetlie import enumerate_M
 
+    cycles = fundamental_cycles(poset)
     return [
         t for t in enumerate_M(poset, bound=len(poset.strict_pairs))
-        if is_admissible(poset, t)
+        if keeps_cycle_space(poset, t, cycles)
     ]
 
 

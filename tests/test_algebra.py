@@ -1,6 +1,7 @@
 """The exact incidence algebra: convolution, brackets, subspaces, and the
 classical map constructors, checked against literal-definition oracles."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -490,3 +491,25 @@ def test_algebra_block_reports_a_candidate_that_is_not_lie(monkeypatch):
     assert results["commutator_is_radical_crown_2"]
     assert not results["induced_maps_are_lie_crown_2"]
     assert not results["self_decomposition_crown_2"]
+
+
+def test_algebra_tables_leave_no_posets_in_reference_cycles(capsys):
+    # the tables kept on poset.memo hold coefficient dicts, not elements
+    # that point back at the poset, so no poset whose algebra was worked
+    # waits in a cycle (poset -> memo -> element -> poset) for the collector
+    from posetlie import Poset
+    from posetlie.cli import main
+
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(["verify", "algebra"]) == 0
+        gc.collect()
+        cyclic = [o for o in gc.garbage if isinstance(o, (Poset, IncidenceElement))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    capsys.readouterr()
+    assert cyclic == []

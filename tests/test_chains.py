@@ -27,6 +27,7 @@ from posetlie import (
     satisfies_crown_criterion,
     support_maps,
 )
+from posetlie.bijections import Tower
 from posetlie.chains import classes_to_json
 from posetlie.families import (
     chain,
@@ -344,9 +345,13 @@ class TestDecideAllProper:
     def test_proper_outside_admissible_is_an_error(self, monkeypatch):
         from posetlie import chains
 
+        # a P whose transversal holds a bijection of M outside AM
         poset = example20()
-        listed = chains.enumerate_P(poset) + [example20_bijection(poset)]
-        monkeypatch.setattr(chains, "enumerate_P", lambda p: listed)
+        theta = example20_bijection(poset).perm
+        i = next(b for b, t in enumerate(theta) if b != t)
+        identity = tuple(range(len(theta)))
+        levels = [{k: identity} for k in range(i)] + [{i: identity, theta[i]: theta}]
+        monkeypatch.setattr(chains, "enumerate_P", lambda p: Tower(len(theta), levels))
         with pytest.raises(WellDefinednessError, match="escaped the admissible group"):
             decide_all_proper(poset, bound=60)
 

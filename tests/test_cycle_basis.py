@@ -1,5 +1,6 @@
-"""Admissibility on the fundamental-cycle basis, against the paper's crown
-criterion, and the lifetime of the per-poset caches."""
+"""Admissibility by the cut form, against the paper's crown criterion, the
+fundamental cycles of the literal reference, and the lifetime of the
+per-poset caches."""
 
 import gc
 import itertools
@@ -20,10 +21,11 @@ from posetlie import (
     is_admissible_oracle,
     satisfies_crown_criterion,
 )
+from posetlie.bijections import _cut_form
 from posetlie.errors import DisconnectedError
 from posetlie.families import from_selector
 
-from helpers import random_bipartite_poset
+from helpers import fundamental_cycles, literal_net_steps, random_bipartite_poset
 
 FAMILIES = [
     "crown:2", "crown:3", "crown:4", "kmn:2x3", "kmn:2x4", "example:6",
@@ -59,27 +61,27 @@ def assert_basis_matches_crowns(poset, thetas):
 
 
 class TestBasisShape:
+    """The fundamental cycles that tests/helpers.py builds as the literal
+    reference for is_admissible, and the cut form Q that is_admissible
+    reads: each cycle's net step vector lies in Q's kernel."""
+
     @pytest.mark.parametrize("selector", FAMILIES + ["example:20", "kmn:3x3"])
     def test_one_closed_walk_per_pair_outside_the_tree(self, selector):
         poset = from_selector(selector)
-        basis = poset.cycle_basis
+        basis = fundamental_cycles(poset)
         assert len(basis) == len(poset.strict_pairs) - poset.n + 1
+        form = _cut_form(poset)
         for walk in basis:
             assert walk[0] == walk[-1] and len(walk) >= 4
             assert len(set(walk[:-1])) == len(walk) - 1
             for u, v in zip(walk, walk[1:]):
                 assert poset.lt(u, v) or poset.lt(v, u)
-        assert [len(w) for w in basis] == sorted(len(w) for w in basis)
-
-    def test_basis_is_built_lazily(self):
-        poset = from_selector("example:20")
-        assert "cycle_basis" not in vars(poset)
-        assert len(poset.cycle_basis) == 41
-        assert "cycle_basis" in vars(poset)
+            steps = literal_net_steps(poset, walk)
+            assert all(sum(row[b] * count for b, count in steps) == 0 for row in form)
 
     def test_trees_have_an_empty_basis(self):
         for selector in ("fence:6", "star:5", "chain:2", "kmn:1x4"):
-            assert from_selector(selector).cycle_basis == ()
+            assert fundamental_cycles(from_selector(selector)) == []
 
 
 class TestBasisAgreesWithCrownCriterion:

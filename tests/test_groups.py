@@ -38,7 +38,7 @@ def known_groups():
         if selector != "kmn:3x3":
             out[selector, "M"] = list(enumerate_M(poset))
         out[selector, "AM"] = list(enumerate_AM(poset))
-        out[selector, "P"] = enumerate_P(poset)
+        out[selector, "P"] = list(enumerate_P(poset))
     return out
 
 

@@ -1,5 +1,5 @@
 """The stabilizer tower of M and AM against references that use neither
-form: Q-preservation against the cycle-basis test on all of M, the chain
+form: Q-preservation against a literal cycle-space test on all of M, the chain
 form against a literal count of maximal chains kept by every element of a
 literal filter of S(B), the AM tower and the leaf search of both forms
 against listings made without that form, and decide's verdict against a
@@ -16,6 +16,8 @@ import pytest
 from helpers import (
     brute_monotone,
     filtered_AM,
+    fundamental_cycles,
+    keeps_cycle_space,
     listing_decision,
     mixed_length_posets,
     random_bipartite_poset,
@@ -24,11 +26,14 @@ from helpers import (
 from posetlie import (
     EdgeBijection,
     decide_all_proper,
+    edge_map_of,
     enumerate_AM,
     enumerate_M,
+    enumerate_P,
     is_admissible,
     parse_poset,
-    preserves_cut_form,
+    poset_maps,
+    proper_witness,
 )
 from posetlie import bijections
 from posetlie.bijections import _chain_form, _cut_form, _fixed_leaf
@@ -59,9 +64,12 @@ CASES = _cases()
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_preserving_q_is_admissibility_on_M(name):
+    # is_admissible asks whether theta keeps Q; the reference asks whether
+    # theta^-1 maps each fundamental cycle to a cycle
     poset = CASES[name]
+    cycles = fundamental_cycles(poset)
     for theta in enumerate_M(poset, bound=len(poset.strict_pairs)):
-        assert preserves_cut_form(poset, theta) == is_admissible(poset, theta), theta.perm
+        assert is_admissible(poset, theta) == keeps_cycle_space(poset, theta, cycles), theta.perm
 
 
 def _brute_M(poset):
@@ -113,7 +121,7 @@ def test_every_monotone_bijection_keeps_the_chain_form(name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_tower_lists_the_sweep_listing(name):
-    # the tower lists M's own listing filtered by the cycle-basis test
+    # the tower lists M's own listing filtered by the cycle-space test
     poset = CASES[name]
     tower = enumerate_AM(poset, bound=len(poset.strict_pairs))
     listing = filtered_AM(poset)
@@ -132,6 +140,30 @@ def test_tower_listing_does_not_depend_on_the_levels_multiplied_out(name, monkey
         listings.append(list(tower))
     assert all(listing == listings[0] for listing in listings)
     assert listings[0] == sorted(set(listings[0])) and len(listings[0]) == len(tower)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_p_tower_is_the_set_of_induced_perms(name):
+    # P's tower lists the poset maps' edge maps, sorted and deduplicated,
+    # and sifting through it is properness on every element of M
+    poset = CASES[name]
+    proper = enumerate_P(poset)
+    induced = sorted({edge_map_of(poset, f) for f in poset_maps(poset)})
+    assert list(proper) == induced
+    assert proper.order == len(induced)
+    for theta in enumerate_M(poset, bound=len(poset.strict_pairs)):
+        assert (theta in proper) == (proper_witness(poset, theta) is not None), theta.perm
+
+
+@pytest.mark.parametrize("selector", ["chain:2", "crown:3", "example:6", "fence:6"])
+def test_a_bijection_of_another_degree_is_in_no_group(selector):
+    poset = from_selector(selector)
+    size = len(poset.strict_pairs)
+    longer = EdgeBijection(tuple(range(size + 1)))
+    for group in (enumerate_M(poset), enumerate_AM(poset), enumerate_P(poset)):
+        assert EdgeBijection.identity(size) in group
+        for other in (EdgeBijection.identity(0), EdgeBijection.identity(size - 1), longer):
+            assert other not in group
 
 
 def test_tower_of_a_tree_lists_M():
