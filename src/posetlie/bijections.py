@@ -20,11 +20,9 @@ import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import BoundExceeded, PreconditionError, WellDefinednessError
+from .errors import PreconditionError, WellDefinednessError
 from .fields import RATIONALS
 from .poset import poset_maps, weak_crowns
-
-DEFAULT_BOUND = 9  # largest |B| the exhaustive search will attempt
 
 
 class Direction(enum.Enum):
@@ -77,10 +75,15 @@ class EdgeBijection:
 
     @classmethod
     def from_json(cls, poset, data):
-        perm = [0] * len(poset.strict_pairs)
-        for src, dst in data:
-            perm[poset.pair_index[tuple(src)]] = poset.pair_index[tuple(dst)]
-        return cls(tuple(perm))
+        """The inverse of to_json: every strict pair must appear exactly once
+        as a source and exactly once as an image."""
+        index = poset.pair_index
+        pairs = [(index.get(tuple(src)), index.get(tuple(dst))) for src, dst in data]
+        images = dict(pairs)
+        every = set(range(len(index)))
+        if len(pairs) != len(index) or images.keys() != every or set(images.values()) != every:
+            raise PreconditionError("data is not a bijection of the strict pairs")
+        return cls(tuple(images[b] for b in range(len(index))))
 
 
 # -- monotonicity -------------------------------------------------------------
@@ -174,7 +177,7 @@ def count_stats(poset, theta, walk, z):
     """The four step counts, computed literally: a step counts toward s when
     its pair is theta(z, w) for some w > z, toward t when it is theta(w, z)
     for some w < z, with + for an up-step and - for a down-step."""
-    if walk[0] != walk[-1] or len(walk) < 2:
+    if len(walk) < 2 or walk[0] != walk[-1]:
         raise PreconditionError("walk must be closed")
     steps, ups, downs = _step_table(poset)
     perm = theta.perm
@@ -347,19 +350,6 @@ def is_separating(poset, theta):
             if sets[i] & sets[j] and not images[i] & images[j]:
                 return True
     return False
-
-
-# -- enumerators ----------------------------------------------------------------
-
-
-def _check_bound(poset, bound):
-    size = len(poset.strict_pairs)
-    if size > bound:
-        raise BoundExceeded(
-            "|B| = %d exceeds the enumeration bound %d" % (size, bound),
-            size=size,
-            bound=bound,
-        )
 
 
 # -- the invariant forms and the stabilizer tower of M and AM ---------------------
@@ -608,17 +598,15 @@ def _tower(poset, form):
     return Tower(size, transversals)
 
 
-def enumerate_M(poset, bound=DEFAULT_BOUND):
+def enumerate_M(poset):
     """All monotone bijections, M = M ∩ Aut(C), as a Tower in canonical
     order."""
-    _check_bound(poset, bound)
     return _tower(poset, _chain_form(poset))
 
 
-def enumerate_AM(poset, bound=DEFAULT_BOUND):
+def enumerate_AM(poset):
     """All admissible monotone bijections, AM = M ∩ Aut(Q), as a Tower in
     canonical order."""
-    _check_bound(poset, bound)
     return _tower(poset, _cut_form(poset))
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bijections import (
-    DEFAULT_BOUND,
     Direction,
     EdgeBijection,
     chain_action,
@@ -239,7 +238,7 @@ class ProperVerdict:
         }
 
 
-def decide_all_proper(poset, bound=DEFAULT_BOUND):
+def decide_all_proper(poset):
     """Whether every admissible monotone bijection is proper.
 
     Equality of the two groups decides whether every Lie automorphism of the
@@ -249,7 +248,7 @@ def decide_all_proper(poset, bound=DEFAULT_BOUND):
     counterexample is the first tower element, in ascending order, outside
     P: min(AM \\ P).
     """
-    admissible = enumerate_AM(poset, bound)
+    admissible = enumerate_AM(poset)
     proper = enumerate_P(poset)
     # P is a group, so it lies in AM once the elements of its transversals,
     # which generate it, sift through AM's tower

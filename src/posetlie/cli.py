@@ -20,6 +20,8 @@ from . import suites
 from .errors import BoundExceeded, ParseError, PosetLieError, InvalidParameter
 from .fields import parse_field_spec
 
+DEFAULT_BOUND = 9  # largest |B| that enumerate m|am and decide attempt
+
 
 def _dump(data):
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
@@ -61,8 +63,16 @@ def _add_source_flags(sub):
 
 
 def _add_bound_flag(sub):
-    sub.add_argument("--bound", type=_non_negative_int, default=bij.DEFAULT_BOUND,
+    sub.add_argument("--bound", type=_non_negative_int, default=None,
                      help="largest |B| the exhaustive search may attempt")
+
+
+def _check_bound(poset, bound):
+    """The input check of --bound, made before any search: exit 3 past it."""
+    bound = DEFAULT_BOUND if bound is None else bound
+    size = len(poset.strict_pairs)
+    if size > bound:
+        raise BoundExceeded("|B| = %d exceeds the enumeration bound %d" % (size, bound))
 
 
 def cmd_info(args):
@@ -142,13 +152,17 @@ def _element_texts(poset, elements):
 
 
 def cmd_enumerate(args):
+    if args.group == "p" and args.bound is not None:
+        raise InvalidParameter("--bound does not apply to enumerate p")
     poset = _load_poset(args)
+    if args.group != "p":
+        _check_bound(poset, args.bound)
     if args.group == "m":
-        elements = bij.enumerate_M(poset, bound=args.bound)  # counted, listed only in JSON
+        elements = bij.enumerate_M(poset)  # counted, listed only in JSON
         report = {"order": elements.order}
     else:
         am = args.group == "am"
-        group = grp.verify_group(bij.enumerate_AM(poset, args.bound) if am else bij.enumerate_P(poset))
+        group = grp.verify_group(bij.enumerate_AM(poset) if am else bij.enumerate_P(poset))
         elements, report = group.elements, group.to_json()
     if args.format == "json":
         # keys are sorted, so "elements" comes first: stream it in chunks
@@ -174,7 +188,8 @@ def cmd_enumerate(args):
 
 def cmd_decide(args):
     poset = _load_poset(args)
-    verdict = chn.decide_all_proper(poset, bound=args.bound)
+    _check_bound(poset, args.bound)
+    verdict = chn.decide_all_proper(poset)
     if args.format == "json":
         print(_dump(verdict.to_json(poset)))
     else:

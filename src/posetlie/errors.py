@@ -62,9 +62,5 @@ class StructureMismatch(PosetLieError):
 
 
 class BoundExceeded(PosetLieError):
-    """An exhaustive enumeration was requested beyond the configured bound."""
-
-    def __init__(self, message, size=None, bound=None):
-        super().__init__(message)
-        self.size = size
-        self.bound = bound
+    """|B| exceeds the CLI's --bound; only the CLI raises it, before any
+    search."""

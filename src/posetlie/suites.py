@@ -193,7 +193,7 @@ def example20_block():
     except ExtractionError:
         extraction_failed = True
     out.append(_check("example20_extraction_fails", extraction_failed))
-    verdict = chn.decide_all_proper(poset, bound=len(poset.strict_pairs))
+    verdict = chn.decide_all_proper(poset)
     witness = verdict.counterexample
     out.append(
         _check(

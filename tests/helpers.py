@@ -352,7 +352,7 @@ def literal_count_stats(poset, theta, walk, z):
     and w < z for a preimage of each step's pair."""
     from posetlie import CountStats, PreconditionError
 
-    if walk[0] != walk[-1] or len(walk) < 2:
+    if len(walk) < 2 or walk[0] != walk[-1]:
         raise PreconditionError("walk must be closed")
     pairs = poset.strict_pairs
     index = poset.pair_index
@@ -462,7 +462,7 @@ def filtered_AM(poset):
 
     cycles = fundamental_cycles(poset)
     return [
-        t for t in enumerate_M(poset, bound=len(poset.strict_pairs))
+        t for t in enumerate_M(poset)
         if keeps_cycle_space(poset, t, cycles)
     ]
 

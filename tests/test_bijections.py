@@ -10,7 +10,6 @@ from math import factorial
 import pytest
 
 from posetlie import (
-    BoundExceeded,
     CountStats,
     Direction,
     EdgeBijection,
@@ -187,8 +186,11 @@ class TestCountStats:
 
     def test_open_walk_rejected(self):
         p = chain(3)
-        with pytest.raises(PreconditionError, match="^walk must be closed$"):
-            count_stats(p, identity_on(p), (0, 1, 2), 0)
+        for stats in (count_stats, literal_count_stats):
+            # the empty walk has no first element to compare
+            for walk in ((0, 1, 2), ()):
+                with pytest.raises(PreconditionError, match="^walk must be closed$"):
+                    stats(p, identity_on(p), walk, 0)
 
     def test_incomparable_step_rejected(self):
         p = crown(2)
@@ -279,7 +281,7 @@ class TestAdmissibility:
         rng = random.Random(83)
         for _ in range(20):
             poset = random_connected_poset(rng, rng.randint(4, 6))
-            for theta in enumerate_M(poset, bound=len(poset.strict_pairs)):
+            for theta in enumerate_M(poset):
                 assert is_admissible_oracle(poset, theta, 5) == (
                     brute_semiwalk_admissible(poset, theta, 5)
                 )
@@ -349,7 +351,7 @@ class TestProperWitness:
         for poset in posets:
             maps = poset_maps(poset)
             literal = [literal_edge_map(poset, m) for m in maps]
-            for theta in enumerate_M(poset, bound=len(poset.strict_pairs)):
+            for theta in enumerate_M(poset):
                 first = next(
                     (m for m, perm in zip(maps, literal) if perm == theta.perm), None
                 )
@@ -455,14 +457,6 @@ class TestEnumerators:
             }
             assert scanned == filtered
 
-    def test_bound_enforced(self):
-        with pytest.raises(BoundExceeded):
-            list(enumerate_M(crown(5)))
-        with pytest.raises(BoundExceeded):
-            enumerate_AM(crown(3), bound=5)
-        # raising the bound lets the tower be built
-        assert len(enumerate_AM(crown(4), bound=8)) == 2 * factorial(4) ** 2
-
     def test_containments(self):
         for _, poset in suite():
             if len(poset.strict_pairs) > 6:
@@ -532,6 +526,21 @@ class TestSerialization:
             data = theta.to_json(p)
             assert EdgeBijection.from_json(p, data) == theta
 
+    def test_from_json_requires_a_bijection(self):
+        p = crown(3)
+        data = identity_on(p).to_json(p)
+        swapped = [data[0], [data[1][0], data[0][1]]] + data[2:]  # a repeated image
+        cases = {
+            "empty": [],
+            "missing": data[1:],
+            "repeated-source": data + data[:1],
+            "repeated-image": swapped,
+            "unknown": [[[1, 0], data[0][1]]] + data[1:],
+        }
+        for bad in cases.values():
+            with pytest.raises(PreconditionError, match="^data is not a bijection"):
+                EdgeBijection.from_json(p, bad)
+
 
 def test_crown_balance_agrees_with_literal_counting():
     # the accumulator behind is_admissible must match evaluating the four
@@ -568,9 +577,9 @@ def test_searches_leave_no_reference_cycles():
             poset = make() if size is None else make(size)
             ref = weakref.ref(poset)
             results = (
-                decide_all_proper(poset, 12),
-                list(enumerate_AM(poset, 12)),
-                list(enumerate_M(poset, 12)),
+                decide_all_proper(poset),
+                list(enumerate_AM(poset)),
+                list(enumerate_M(poset)),
                 poset_maps(poset),
                 closed_semiwalks(poset, 4),
                 weak_crowns(poset),

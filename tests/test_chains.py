@@ -310,6 +310,16 @@ class TestDecideAllProper:
         verdict = decide_all_proper(kmn(2, 4))
         assert verdict.all_proper and verdict.am_order == verdict.p_order == 48
 
+    def test_decides_past_the_cli_bound(self):
+        # the library takes only the poset: |B| = 60 and 12 are past the
+        # CLI's default bound of 9
+        verdict = decide_all_proper(example20())
+        assert (verdict.am_order, verdict.p_order) == (256, 64)
+        assert not verdict.all_proper
+        verdict = decide_all_proper(crown(6))
+        assert (verdict.am_order, verdict.p_order) == (2 * 720**2, 24)
+        assert not verdict.all_proper
+
     def test_single_class_reported_and_sufficient(self):
         for poset in (chain(3), chain(4)):
             verdict = decide_all_proper(poset)
@@ -324,17 +334,14 @@ class TestDecideAllProper:
         assert verdict.all_proper
 
     @pytest.mark.parametrize(
-        "poset, bound",
-        [
-            (crown(3), 9), (crown(4), 9), (fence(6), 9), (fence(8), 9),
-            (kmn(2, 5), 10), (example20(), 60),
-        ],
+        "poset",
+        [crown(3), crown(4), fence(6), fence(8), kmn(2, 5), example20()],
         ids=["crown3", "crown4", "fence6", "fence8", "kmn2x5", "example20"],
     )
-    def test_witness_is_least_admissible_non_proper(self, poset, bound):
-        admissible = {t.perm for t in enumerate_AM(poset, bound)}
+    def test_witness_is_least_admissible_non_proper(self, poset):
+        admissible = {t.perm for t in enumerate_AM(poset)}
         proper = {t.perm for t in enumerate_P(poset)}
-        verdict = decide_all_proper(poset, bound)
+        verdict = decide_all_proper(poset)
         witness = verdict.counterexample
         # kmn:2x5 is all proper: no witness
         assert (None if witness is None else witness.perm) == min(
@@ -353,7 +360,7 @@ class TestDecideAllProper:
         levels = [{k: identity} for k in range(i)] + [{i: identity, theta[i]: theta}]
         monkeypatch.setattr(chains, "enumerate_P", lambda p: Tower(len(theta), levels))
         with pytest.raises(WellDefinednessError, match="escaped the admissible group"):
-            decide_all_proper(poset, bound=60)
+            decide_all_proper(poset)
 
     def test_json_shape(self):
         poset = crown(3)

@@ -187,7 +187,43 @@ def test_bad_field_is_usage_error(capsys, spec):
 
 
 def test_bound_exceeded_exit_code(capsys):
+    # |B| = 10 is past the default bound of 9
     assert main(["enumerate", "m", "--family", "crown:5"]) == 3
+    capsys.readouterr()
+    assert main(["enumerate", "am", "--family", "crown:3", "--bound", "5"]) == 3
+    assert capsys.readouterr() == ("", "error: |B| = 6 exceeds the enumeration bound 5\n")
+    # raising the bound lets the tower be built
+    code, out = run(capsys, "enumerate", "am", "--family", "crown:4", "--bound", "8")
+    assert code == 0
+    assert out.startswith("order: 1152\n")
+
+
+def test_bound_is_checked_before_any_search(capsys, monkeypatch):
+    from posetlie import bijections, chains
+
+    def unreachable(poset):
+        raise AssertionError("searched past the bound")
+
+    for module, name in (
+        (bijections, "enumerate_M"), (bijections, "enumerate_AM"), (chains, "decide_all_proper"),
+    ):
+        monkeypatch.setattr(module, name, unreachable)
+    for argv in (
+        ["enumerate", "m", "--family", "crown:5"],
+        ["enumerate", "am", "--family", "crown:5", "--bound", "9"],
+        ["decide", "--family", "crown:5"],
+        ["decide", "--family", "crown:2", "--bound", "0"],
+    ):
+        assert main(argv) == 3
+
+
+def test_bound_does_not_apply_to_enumerate_p(capsys):
+    # P is listed from the poset symmetries, never bounded
+    assert main(["enumerate", "p", "--family", "crown:5", "--bound", "3"]) == 2
+    assert capsys.readouterr() == ("", "error: --bound does not apply to enumerate p\n")
+    code, out = run(capsys, "enumerate", "p", "--family", "crown:5")
+    assert code == 0
+    assert out.startswith("order: 20\n")
 
 
 def test_bad_file_reports_parse_error(tmp_path, capsys):

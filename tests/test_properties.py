@@ -1,5 +1,5 @@
-"""Quantified structural checks: everything the enumeration bounds let us
-verify exhaustively rather than by sampling."""
+"""Quantified structural checks: each is verified exhaustively, over every
+bijection of posets small enough to list, rather than by sampling."""
 
 import random
 

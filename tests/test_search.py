@@ -58,10 +58,10 @@ def test_search_matches_a_literal_filter_of_all_of_SB(name):
         for theta in map(EdgeBijection, itertools.permutations(range(size)))
         if brute_monotone(poset, theta)
     ]
-    assert [t.perm for t in enumerate_M(poset, bound=size)] == [
+    assert [t.perm for t in enumerate_M(poset)] == [
         t.perm for t in monotone
     ]
-    assert [t.perm for t in enumerate_AM(poset, bound=size)] == [
+    assert [t.perm for t in enumerate_AM(poset)] == [
         t.perm for t in monotone if satisfies_crown_criterion(poset, t)
     ]
 
@@ -71,7 +71,7 @@ def test_complete_bipartite_posets_are_all_proper(m, n):
     # Aut(K_{m,n}) permutes each side; the order reversal adds a factor 2
     # when the two sides have the same size
     poset = from_selector("kmn:%dx%d" % (m, n))
-    verdict = decide_all_proper(poset, bound=m * n)
+    verdict = decide_all_proper(poset)
     expected = factorial(m) * factorial(n) * (2 if m == n else 1)
     assert verdict.all_proper
     assert verdict.am_order == verdict.p_order == expected
@@ -95,7 +95,7 @@ def test_listing_sizes_tests_and_searches_its_leaves(name):
     poset = LISTING_CASES[name]
     size = len(poset.strict_pairs)
     rng = random.Random(name)
-    listing = enumerate_M(poset, bound=size)
+    listing = enumerate_M(poset)
     monotone = list(listing)
     assert len(listing) == len(monotone)
     perms = {t.perm for t in monotone}
@@ -105,14 +105,14 @@ def test_listing_sizes_tests_and_searches_its_leaves(name):
     # the tower lists AM in the order of M's listing filtered by the
     # cycle-basis test, and decide's witness, its first element outside P,
     # is the least element of AM outside P
-    tower = enumerate_AM(poset, bound=size)
+    tower = enumerate_AM(poset)
     admissible = filtered_AM(poset)
     assert len(tower) == len(admissible)
     assert list(tower) == admissible
     perms = {t.perm for t in admissible}
     for theta in monotone + randoms:
         assert (theta in tower) == (theta.perm in perms), theta.perm
-    witness = decide_all_proper(poset, bound=size).counterexample
+    witness = decide_all_proper(poset).counterexample
     proper = {t.perm for t in enumerate_P(poset)}
     expected = min({t.perm for t in admissible} - proper, default=None)
     assert (None if witness is None else witness.perm) == expected
@@ -124,7 +124,7 @@ def test_listing_merges_its_blocks_in_ascending_order(name):
     # sorts the multiplied-out last levels: M must come out strictly
     # ascending, every element once
     poset = LISTING_CASES[name]
-    listing = enumerate_M(poset, bound=len(poset.strict_pairs))
+    listing = enumerate_M(poset)
     perms = [t.perm for t in listing]
     assert perms == sorted(set(perms))
     assert len(perms) == len(listing)
@@ -135,7 +135,7 @@ def test_decide_counts_fences_it_could_not_list(n):
     # a fence is a tree of two-element chains, so AM is all of S(B)
     poset = fence(n)
     start = time.perf_counter()
-    verdict = decide_all_proper(poset, bound=n - 1)
+    verdict = decide_all_proper(poset)
     elapsed = time.perf_counter() - start
     assert (verdict.am_order, verdict.p_order) == (factorial(n - 1), 2)
     proper = {t.perm for t in enumerate_P(poset)}

@@ -68,7 +68,7 @@ def test_preserving_q_is_admissibility_on_M(name):
     # theta^-1 maps each fundamental cycle to a cycle
     poset = CASES[name]
     cycles = fundamental_cycles(poset)
-    for theta in enumerate_M(poset, bound=len(poset.strict_pairs)):
+    for theta in enumerate_M(poset):
         assert is_admissible(poset, theta) == keeps_cycle_space(poset, theta, cycles), theta.perm
 
 
@@ -123,7 +123,7 @@ def test_every_monotone_bijection_keeps_the_chain_form(name):
 def test_tower_lists_the_sweep_listing(name):
     # the tower lists M's own listing filtered by the cycle-space test
     poset = CASES[name]
-    tower = enumerate_AM(poset, bound=len(poset.strict_pairs))
+    tower = enumerate_AM(poset)
     listing = filtered_AM(poset)
     assert len(tower) == len(listing)
     assert list(tower) == listing
@@ -133,7 +133,7 @@ def test_tower_lists_the_sweep_listing(name):
 def test_tower_listing_does_not_depend_on_the_levels_multiplied_out(name, monkeypatch):
     # from no level but the last multiplied out to the whole group
     poset = CASES[name]
-    tower = enumerate_AM(poset, bound=len(poset.strict_pairs))
+    tower = enumerate_AM(poset)
     listings = []
     for merged in (1, 4, 32, 10**9):
         monkeypatch.setattr(bijections, "_MERGED", merged)
@@ -151,7 +151,7 @@ def test_p_tower_is_the_set_of_induced_perms(name):
     induced = sorted({edge_map_of(poset, f) for f in poset_maps(poset)})
     assert list(proper) == induced
     assert proper.order == len(induced)
-    for theta in enumerate_M(poset, bound=len(poset.strict_pairs)):
+    for theta in enumerate_M(poset):
         assert (theta in proper) == (proper_witness(poset, theta) is not None), theta.perm
 
 
@@ -208,7 +208,7 @@ def test_a_leaf_exists_for_every_prefix_the_listing_has(name, form):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_decide_matches_a_listing_based_decision(name):
     poset = CASES[name]
-    verdict = decide_all_proper(poset, bound=len(poset.strict_pairs))
+    verdict = decide_all_proper(poset)
     assert verdict.to_json(poset) == listing_decision(poset)
 
 
