@@ -10,6 +10,7 @@ from math import factorial
 import pytest
 
 from posetlie import (
+    BoundExceeded,
     CountStats,
     Direction,
     EdgeBijection,
@@ -37,6 +38,7 @@ from posetlie import (
     weak_crowns,
 )
 from posetlie.bijections import _net_steps
+from posetlie.cli import _check_bound
 from posetlie.families import (
     chain,
     crown,
@@ -456,6 +458,16 @@ class TestEnumerators:
                 t.perm for t in enumerate_M(poset) if is_admissible(poset, t)
             }
             assert scanned == filtered
+
+    def test_bound_enforced(self):
+        # the |B| bound is the input check made before enumerate_M/AM run
+        with pytest.raises(BoundExceeded):
+            _check_bound(crown(5), None)
+        with pytest.raises(BoundExceeded):
+            _check_bound(crown(3), 5)
+        # raising the bound lets the tower be built
+        _check_bound(crown(4), 8)
+        assert len(enumerate_AM(crown(4))) == 2 * factorial(4) ** 2
 
     def test_containments(self):
         for _, poset in suite():
