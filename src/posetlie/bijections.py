@@ -1,9 +1,9 @@
 """Edge bijections of the strict-pair basis: monotonicity, admissibility,
 properness, and the exhaustive enumerators for the three bijection groups.
-M and AM come from one stabilizer tower, sized without listing it, of the
-monotone bijections that keep an integer form on the strict pairs: the
-chain form C for M, the exact cut form Q of the comparability graph for
-AM.  P's tower is read off the poset symmetries.
+M, AM and P come from one stabilizer tower builder, sized without listing:
+M and AM are the monotone bijections that keep an integer form on the
+strict pairs, the chain form C and the exact cut form Q of the comparability
+graph, and P's tower is built on Q from the edge maps of poset symmetries.
 
 An EdgeBijection permutes the canonical index set of B = {(x, y) : x < y}.
 The three groups satisfy proper <= admissible-monotone <= monotone.  Each
@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import PreconditionError, WellDefinednessError
 from .fields import RATIONALS
-from .poset import poset_maps, weak_crowns
+from .poset import MapKind, Poset, PosetMap, isomorphisms, weak_crowns
 
 
 class Direction(enum.Enum):
@@ -78,11 +78,14 @@ class EdgeBijection:
         """The inverse of to_json: every strict pair must appear exactly once
         as a source and exactly once as an image."""
         index = poset.pair_index
-        pairs = [(index.get(tuple(src)), index.get(tuple(dst))) for src, dst in data]
-        images = dict(pairs)
         every = set(range(len(index)))
-        if len(pairs) != len(index) or images.keys() != every or set(images.values()) != every:
-            raise PreconditionError("data is not a bijection of the strict pairs")
+        try:
+            pairs = [(index.get(tuple(src)), index.get(tuple(dst))) for src, dst in data]
+            images = dict(pairs)
+            if len(pairs) != len(index) or images.keys() != every or set(images.values()) != every:
+                raise ValueError
+        except (TypeError, ValueError):  # not a bijection, or an entry not a pair of pairs
+            raise PreconditionError("data is not a bijection of the strict pairs") from None
         return cls(tuple(images[b] for b in range(len(index))))
 
 
@@ -321,22 +324,26 @@ def edge_map_of(poset, poset_map):
     )
 
 
-def _build_proper_table(poset):
-    """Each proper perm, mapped to the first poset map (in poset_maps order)
-    that induces it."""
-    table = {}
-    for candidate in poset_maps(poset):
-        table.setdefault(edge_map_of(poset, candidate).perm, candidate)
-    return table
-
-
-def _proper_table(poset):
-    return poset.memo("proper_table", _build_proper_table)
+def _inducing_maps(poset, fixed):
+    """The poset maps whose edge maps send b to fixed[b] for b in fixed, ISO
+    first: the isomorphism search extends the element images MapKind.pair
+    reads off the fixed pairs onto the poset, or onto its dual for ANTI.  At
+    n = 1 ISO always extends, so the first map is never ANTI, as in poset_maps."""
+    pairs = poset.strict_pairs
+    for kind in MapKind:
+        images = [
+            xj for b, t in fixed.items() for xj in zip(kind.pair(pairs[b], 0, 1), pairs[t])
+        ]
+        target = poset if kind is MapKind.ISO else poset.memo("dual", Poset.dual)
+        yield from (PosetMap(f, kind) for f in isomorphisms(poset, target, images))
 
 
 def proper_witness(poset, theta):
-    """The poset (anti-)automorphism inducing theta, if one exists."""
-    return _proper_table(poset).get(theta.perm)
+    """The first poset map, in poset_maps order, inducing theta, or None: at
+    n >= 2 every element lies on a strict pair, so theta fixes all of a map."""
+    if sorted(theta.perm) != list(range(len(poset.strict_pairs))):
+        return None  # not a permutation of this poset's pairs
+    return next(_inducing_maps(poset, dict(enumerate(theta.perm))), None)
 
 
 def is_separating(poset, theta):
@@ -567,16 +574,16 @@ def _tower_walk(head, tail, i, g):
     )
 
 
-def _tower(poset, form):
-    """M ∩ Aut(form) as a Tower, one leaf search per orbit point at most.
+def _proper_leaf(poset, form, fixed):
+    """The edge map of a poset map extending fixed, as a perm tuple, or None;
+    P <= Aut(Q), so the form needs no check."""
+    return next((edge_map_of(poset, f).perm for f in _inducing_maps(poset, fixed)), None)
 
-    A target t of base point i is a candidate only if it matches i in the
-    form's diagonal, sorted row and entries on the pairs before i; the
-    tower stops where every pair left has its own such invariant.  Levels
-    are built from the last up, so every leaf found so far lies in G_i and
-    closes the orbit of i (McKay's individualization); a candidate outside
-    the closure costs one _fixed_leaf search.
-    """
+
+def _refinement(poset, form):
+    """Per base point i, the targets t >= i matching i in the form's diagonal,
+    sorted row and entries on earlier pairs, until every pair left has its
+    own such invariant, so an element of Aut(form) fixing the base fixes all."""
     size = len(form)
     ids = {}  # one id per invariant, shared by every refinement below
     cell = [ids.setdefault((row[b], tuple(sorted(row))), len(ids)) for b, row in enumerate(form)]
@@ -585,45 +592,45 @@ def _tower(poset, form):
         i = len(candidates)
         candidates.append([t for t in range(i, size) if cell[t] == cell[i]])
         cell = [ids.setdefault((c, row[i]), len(ids)) for c, row in zip(cell, form)]
-    identity, gens, transversals = tuple(range(size)), [], []
+    return candidates
+
+
+def _tower(poset, form, leaf):
+    """The group in Aut(form) that leaf(poset, form, fixed) searches for an
+    element extending fixed, as a Tower.  Levels are built from the last up,
+    so every leaf found so far lies in G_i and closes the orbit of i
+    (McKay's individualization); a candidate of the form's refinement
+    outside the closure costs one leaf search."""
+    candidates = poset.memo(("refinement", form), _refinement, form)
+    identity, gens, transversals = tuple(range(len(form))), [], []
     for i in reversed(range(len(candidates))):
         orbit = _close({i: identity}, gens)
         for t in candidates[i]:
             if t not in orbit:
-                leaf = _fixed_leaf(poset, form, dict(enumerate(identity[:i] + (t,))))
-                if leaf is not None:
-                    gens.append(leaf)
+                found = leaf(poset, form, dict(enumerate(identity[:i] + (t,))))
+                if found is not None:
+                    gens.append(found)
                     _close(orbit, gens)
         transversals.insert(0, orbit)
-    return Tower(size, transversals)
+    return Tower(len(form), transversals)
 
 
 def enumerate_M(poset):
     """All monotone bijections, M = M ∩ Aut(C), as a Tower in canonical
     order."""
-    return _tower(poset, _chain_form(poset))
+    return _tower(poset, _chain_form(poset), _fixed_leaf)
 
 
 def enumerate_AM(poset):
     """All admissible monotone bijections, AM = M ∩ Aut(Q), as a Tower in
     canonical order."""
-    return _tower(poset, _cut_form(poset))
+    return _tower(poset, _cut_form(poset), _fixed_leaf)
 
 
 def enumerate_P(poset):
-    """All proper bijections, via the poset symmetries, as a Tower in
-    canonical order.  Level i holds, per target t, the least proper perm
-    whose first moved pair is i and that sends i to t: the perms are read
-    in ascending order, so the first one found is the least."""
-    size = len(poset.strict_pairs)
-    identity, transversals = tuple(range(size)), []
-    for perm in sorted(_proper_table(poset)):
-        i = next((b for b, t in enumerate(perm) if b != t), size)
-        if i < size:
-            while len(transversals) <= i:
-                transversals.append({len(transversals): identity})
-            transversals[i].setdefault(perm[i], perm)
-    return Tower(size, transversals)
+    """All proper bijections as a Tower in canonical order, built on Q as AM
+    is: P <= AM, so Q's refinement holds P's orbits."""
+    return _tower(poset, _cut_form(poset), _proper_leaf)
 
 
 # -- compatible sign maps --------------------------------------------------------

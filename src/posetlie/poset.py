@@ -442,54 +442,56 @@ def _signatures(poset):
     )
 
 
-def order_isomorphisms(source, target):
-    """All bijections f with x <= y iff f(x) <= f(y), as permutation tuples."""
+def isomorphisms(source, target, fixed=()):
+    """Each bijection f with x <= y iff f(x) <= f(y) and f(i) = j for each (i, j)
+    in fixed, as a permutation tuple, as the search finds it.  Elements are
+    placed fewest candidates first: those of their signature, each (i, j)
+    narrowing i's to j, or to none where j is not among them."""
     if source.n != target.n or len(source.strict_pairs) != len(target.strict_pairs):
-        return []
-    sig_s = _signatures(source)
-    sig_t = _signatures(target)
-    candidates = [
-        tuple(j for j in range(target.n) if sig_t[j] == sig_s[i])
-        for i in range(source.n)
-    ]
-    if any(not c for c in candidates):
-        return []
+        return
+    cells = {}  # signature -> the target elements that have it
+    for j, sig in enumerate(target.memo("signatures", _signatures)):
+        cells.setdefault(sig, []).append(j)
+    candidates = [cells.get(sig, ()) for sig in source.memo("signatures", _signatures)]
+    for i, j in fixed:
+        candidates[i] = (j,) if j in candidates[i] else ()
+    if not all(candidates):
+        return
     order = sorted(range(source.n), key=lambda i: len(candidates[i]))
     leq_s = source.leq_matrix
     leq_t = target.leq_matrix
     image = [-1] * source.n
-    used = [False] * target.n
-    results = []
-
-    def assign(k):
-        if k == source.n:
-            results.append(tuple(image))
-            return
+    tries = [iter(candidates[order[0]])]  # per placed level, its untried candidates
+    while tries:
+        k = len(tries) - 1
         i = order[k]
-        for j in candidates[i]:
-            if used[j]:
+        image[i] = -1
+        for j in tries[k]:
+            if j in image:
                 continue
-            ok = True
             for i2 in order[:k]:
                 j2 = image[i2]
                 if leq_s[i][i2] != leq_t[j][j2] or leq_s[i2][i] != leq_t[j2][j]:
-                    ok = False
                     break
-            if ok:
-                image[i] = j
-                used[j] = True
-                assign(k + 1)
-                used[j] = False
-                image[i] = -1
+            else:
+                break  # j fits every placed element: place it
+        else:
+            tries.pop()
+            continue
+        image[i] = j
+        if k + 1 < source.n:
+            tries.append(iter(candidates[order[k + 1]]))
+        else:
+            yield tuple(image)
 
-    assign(0)
-    del assign  # a self-recursive closure is a cycle: free it now
-    results.sort()
-    return results
+
+def order_isomorphisms(source, target):
+    """All bijections f with x <= y iff f(x) <= f(y), as permutation tuples."""
+    return sorted(isomorphisms(source, target))
 
 
 def is_isomorphic(source, target):
-    return bool(order_isomorphisms(source, target))
+    return next(isomorphisms(source, target), None) is not None
 
 
 def poset_maps(poset):

@@ -342,6 +342,12 @@ class TestProperWitness:
         poset, theta = crown_parity_swap(3)
         assert proper_witness(poset, theta) is None
 
+    def test_a_non_permutation_of_the_pairs_has_no_witness(self):
+        # crown:3 has six pairs: too few, too many, a repeat, one out of range
+        p = crown(3)
+        for perm in [(0, 1, 2, 3, 4), tuple(range(7)), (0, 0, 2, 3, 4, 5), (0, 1, 2, 3, 4, 9)]:
+            assert proper_witness(p, EdgeBijection(perm)) is None
+
     def test_witness_is_first_inducing_map(self):
         # on every theta of M: the first map in poset_maps order whose
         # literal edge map is theta, or None; P is the set of those edge maps
@@ -548,6 +554,9 @@ class TestSerialization:
             "repeated-source": data + data[:1],
             "repeated-image": swapped,
             "unknown": [[[1, 0], data[0][1]]] + data[1:],
+            "not-a-pair": [5],
+            "one-pair": [[[0, 3]]],
+            "flat-triple": [[0, 3, 1]],
         }
         for bad in cases.values():
             with pytest.raises(PreconditionError, match="^data is not a bijection"):

@@ -1,6 +1,7 @@
 """The command-line surface: outputs, formats, and exit codes."""
 
 import json
+import time
 from math import factorial
 
 import pytest
@@ -125,6 +126,29 @@ def test_orders_past_the_index_size_are_exact(capsys):
     code, out = run(capsys, "enumerate", "m", "--family", "fence:22", "--bound", "40")
     assert code == 0
     assert out == "order: 51090942171709440000\n"
+
+
+@pytest.mark.parametrize(
+    "selector, am_order, p_order, all_proper",
+    [
+        ("kmn:6x6", 1036800, 1036800, True),
+        ("crown:9", 2 * factorial(9) ** 2, 36, False),
+        ("fence:21", factorial(20), 2, False),
+    ],
+)
+def test_frontier_posets_decide_in_seconds(capsys, selector, am_order, p_order, all_proper):
+    # P's tower is built by leaf searches, never by listing P: kmn:6x6 has
+    # |P| = 1036800, and crown:9 and fence:21 hide their few poset maps
+    # from an element-by-element search
+    start = time.perf_counter()
+    argv = ["decide", "--family", selector, "--bound", "40", "--format", "json"]
+    code, out = run(capsys, *argv)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    data = json.loads(out)
+    assert data["am_order"] == am_order and data["p_order"] == p_order
+    assert data["all_proper"] is all_proper
+    assert elapsed < 10.0
 
 
 def test_decide_crown3(capsys):

@@ -1,8 +1,9 @@
-"""The stabilizer tower of M and AM against references that use neither
+"""The stabilizer tower of M, AM and P against references that use no
 form: Q-preservation against a literal cycle-space test on all of M, the chain
 form against a literal count of maximal chains kept by every element of a
-literal filter of S(B), the AM tower and the leaf search of both forms
-against listings made without that form, and decide's verdict against a
+literal filter of S(B), the AM and P towers and the leaf searches of both
+forms and of P against listings made without them, proper_witness against
+the literal edge maps of poset_maps, and decide's verdict against a
 listing-based one; then sizes that no listing reaches."""
 
 import itertools
@@ -19,6 +20,7 @@ from helpers import (
     fundamental_cycles,
     keeps_cycle_space,
     listing_decision,
+    literal_edge_map,
     mixed_length_posets,
     random_bipartite_poset,
     random_connected_poset,
@@ -26,7 +28,6 @@ from helpers import (
 from posetlie import (
     EdgeBijection,
     decide_all_proper,
-    edge_map_of,
     enumerate_AM,
     enumerate_M,
     enumerate_P,
@@ -36,7 +37,7 @@ from posetlie import (
     proper_witness,
 )
 from posetlie import bijections
-from posetlie.bijections import _chain_form, _cut_form, _fixed_leaf
+from posetlie.bijections import _chain_form, _cut_form, _fixed_leaf, _proper_leaf
 from posetlie.cli import main
 from posetlie.families import from_selector, suite
 
@@ -142,17 +143,37 @@ def test_tower_listing_does_not_depend_on_the_levels_multiplied_out(name, monkey
     assert listings[0] == sorted(set(listings[0])) and len(listings[0]) == len(tower)
 
 
+def _literal_P(poset):
+    """P as the sorted distinct edge maps of every poset map, each read
+    literally off the map's definition."""
+    return sorted({literal_edge_map(poset, f) for f in poset_maps(poset)})
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_p_tower_is_the_set_of_induced_perms(name):
     # P's tower lists the poset maps' edge maps, sorted and deduplicated,
     # and sifting through it is properness on every element of M
     poset = CASES[name]
     proper = enumerate_P(poset)
-    induced = sorted({edge_map_of(poset, f) for f in poset_maps(poset)})
-    assert list(proper) == induced
+    induced = _literal_P(poset)
+    assert [theta.perm for theta in proper] == induced
     assert proper.order == len(induced)
     for theta in enumerate_M(poset):
         assert (theta in proper) == (proper_witness(poset, theta) is not None), theta.perm
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in sorted(CASES) if enumerate_M(CASES[name]).order <= 5040]
+)
+def test_proper_witness_is_the_first_inducing_map(name):
+    # on every theta of M: the first map in poset_maps order whose literal
+    # edge map is theta, or None
+    poset = CASES[name]
+    maps = poset_maps(poset)
+    literal = [literal_edge_map(poset, f) for f in maps]
+    for theta in enumerate_M(poset):
+        first = next((f for f, perm in zip(maps, literal) if perm == theta.perm), None)
+        assert proper_witness(poset, theta) == first, theta.perm
 
 
 @pytest.mark.parametrize("selector", ["chain:2", "crown:3", "example:6", "fence:6"])
@@ -175,31 +196,39 @@ def test_tower_of_a_tree_lists_M():
     assert tower == listing
 
 
-# Q against AM as filtered_AM lists it, on every case, and C against the
-# literal filter of S(B), where |B| <= 7 keeps that filter small; the Q
-# cases keep their plain ids
-LEAF_CASES = [pytest.param(name, "Q", id=name) for name in sorted(CASES)] + [
-    pytest.param(name, "C", id=name + "-C")
-    for name in sorted(CASES)
-    if len(CASES[name].strict_pairs) <= 7
-]
+# Q against AM as filtered_AM lists it, and P's leaf against the literal
+# edge maps of poset_maps, on every case, and C against the literal filter
+# of S(B), where |B| <= 7 keeps that filter small; the Q cases keep their
+# plain ids
+LEAF_CASES = (
+    [pytest.param(name, "Q", id=name) for name in sorted(CASES)]
+    + [
+        pytest.param(name, "C", id=name + "-C")
+        for name in sorted(CASES)
+        if len(CASES[name].strict_pairs) <= 7
+    ]
+    + [pytest.param(name, "P", id=name + "-P") for name in sorted(CASES)]
+)
 
 
 @pytest.mark.parametrize("name, form", LEAF_CASES)
 def test_a_leaf_exists_for_every_prefix_the_listing_has(name, form):
     # fix the first i pairs and send pair i to t: the leaf search of the
     # form finds an element of its group doing so exactly when the
-    # reference listing holds one
+    # reference listing holds one, and returns None where no element does
     poset = CASES[name]
     size = len(poset.strict_pairs)
+    leaf_search = _fixed_leaf
     if form == "Q":
         matrix, listed = _cut_form(poset), [t.perm for t in filtered_AM(poset)]
-    else:
+    elif form == "C":
         matrix, listed = _chain_form(poset), _brute_M(poset)
+    else:
+        matrix, listed, leaf_search = _cut_form(poset), _literal_P(poset), _proper_leaf
     for i in range(min(size, 4)):
         for t in range(i, size):
             prefix = tuple(range(i)) + (t,)
-            leaf = _fixed_leaf(poset, matrix, dict(enumerate(prefix)))
+            leaf = leaf_search(poset, matrix, dict(enumerate(prefix)))
             assert (leaf is not None) == any(p[: i + 1] == prefix for p in listed)
             if leaf is not None:
                 assert leaf[: i + 1] == prefix and leaf in listed
