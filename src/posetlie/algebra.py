@@ -418,7 +418,7 @@ def invert_element(f):
         if not f(x, x):
             raise NotInvertible("zero diagonal at %r" % (poset.names[x],))
     inv = {(x, x): field.one / f(x, x) for x in range(poset.n)}
-    for x in reversed(poset.linear_extension):
+    for x in sorted(range(poset.n), key=lambda x: (len(poset.below[x]), x), reverse=True):
         for y in poset.above[x]:
             acc = field.zero
             for z in range(poset.n):

@@ -122,11 +122,18 @@ def _chain_images(poset):
     return poset.memo("chain_images", _build_chain_images)
 
 
+def _chain_table(poset, theta):
+    """_chain_images(poset), once theta is checked to permute the strict pairs."""
+    if sorted(theta.perm) != list(range(len(poset.strict_pairs))):
+        raise PreconditionError("bijection is not a permutation of the strict pairs")
+    return _chain_images(poset)
+
+
 def image_chain(poset, theta, chain):
     """Direction of theta on a maximal chain and the chain it maps onto, or
     (NONE, None) when theta is monotone in neither direction there."""
     try:
-        sources, images = _chain_images(poset)[chain]
+        sources, images = _chain_table(poset, theta)[chain]
     except KeyError:
         raise PreconditionError("chain %r is not maximal" % (chain,)) from None
     return images.get(tuple(theta.perm[b] for b in sources), (Direction.NONE, None))
@@ -137,7 +144,7 @@ def chain_action(poset, theta):
     chain; raises PreconditionError when theta is not in M."""
     perm = theta.perm
     action = {}
-    for chain, (sources, images) in _chain_images(poset).items():
+    for chain, (sources, images) in _chain_table(poset, theta).items():
         hit = images.get(tuple(perm[b] for b in sources))
         if hit is None:
             raise PreconditionError("bijection is not monotone on maximal chains")
@@ -147,11 +154,10 @@ def chain_action(poset, theta):
 
 def in_M(poset, theta):
     """Whether theta is increasing or decreasing on every maximal chain."""
-    perm = theta.perm
-    return all(
-        tuple(perm[b] for b in sources) in images
-        for sources, images in _chain_images(poset).values()
-    )
+    try:
+        return bool(chain_action(poset, theta))  # one entry per maximal chain
+    except PreconditionError:
+        return False
 
 
 # -- the counting identity ----------------------------------------------------

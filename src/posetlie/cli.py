@@ -1,7 +1,7 @@
 """Command-line surface: inspect posets, enumerate bijection groups, decide
 properness, and run the verification harness.
 
-Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 bound exceeded.
+Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 bound exceeded, 141 closed pipe.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 
 from . import bijections as bij
@@ -280,7 +281,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        print(end="", flush=True)  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:  # the reader left: exit as SIGPIPE would, silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except BoundExceeded as err:
         print("error: %s" % err, file=sys.stderr)
         return 3

@@ -244,12 +244,6 @@ class Poset:
         return max(len(c) for c in self.maximal_chains) - 1
 
     @cached_property
-    def linear_extension(self):
-        """Element indices in an order compatible with <: by the number of
-        elements below, then by index."""
-        return tuple(sorted(range(self.n), key=lambda i: (len(self.below[i]), i)))
-
-    @cached_property
     def maximal_chains(self):
         """All maximal chains, as index tuples, in lexicographic order."""
         out = []
@@ -286,11 +280,8 @@ class Poset:
         return value
 
     def dual(self):
-        """The opposite order on the same elements."""
-        flipped = tuple(
-            tuple(self.leq_matrix[j][i] for j in range(self.n)) for i in range(self.n)
-        )
-        return Poset(self.names, flipped)
+        """The opposite order on the same elements: the transposed relation."""
+        return Poset(self.names, zip(*self.leq_matrix))
 
     def label_chain(self, chain):
         return tuple(self.names[i] for i in chain)
@@ -427,26 +418,28 @@ def closed_semiwalks(poset, max_length):
 
 
 def _signatures(poset):
-    # (|below|, |above|, height, depth) is invariant under isomorphism; the
-    # height of i is the longest chain ending at i, its depth the longest
-    # starting there, in one pass each over a linear extension
-    height = [0] * poset.n
-    depth = [0] * poset.n
-    for i in poset.linear_extension:
-        height[i] = max((height[j] + 1 for j in poset.below[i]), default=0)
-    for i in reversed(poset.linear_extension):
-        depth[i] = max((depth[j] + 1 for j in poset.above[i]), default=0)
-    return tuple(
-        (len(poset.below[i]), len(poset.above[i]), height[i], depth[i])
-        for i in range(poset.n)
-    )
+    # (|below|, |above|) is invariant under isomorphism
+    return tuple(zip(map(len, poset.below), map(len, poset.above)))
+
+
+def _connected_order(poset, counts):
+    """The elements in search order, for counts[i] candidates of element i:
+    the fewest first, then always the fewest among those comparable to a
+    placed one, ties to the lower index (McKay's refinement by adjacency)."""
+    rank = list(zip(counts, range(poset.n)))
+    order, reached = [], {min(rank)}
+    while reached:  # the poset is connected, so this places every element
+        order.append(min(reached)[1])
+        reached.update(rank[j] for j in poset.below[order[-1]] + poset.above[order[-1]])
+        reached.difference_update(rank[j] for j in order)
+    return tuple(order)
 
 
 def isomorphisms(source, target, fixed=()):
     """Each bijection f with x <= y iff f(x) <= f(y) and f(i) = j for each (i, j)
-    in fixed, as a permutation tuple, as the search finds it.  Elements are
-    placed fewest candidates first: those of their signature, each (i, j)
-    narrowing i's to j, or to none where j is not among them."""
+    in fixed, as a permutation tuple, as the search finds it.  An element's
+    candidates are those of its signature, each (i, j) narrowing i's to j, or
+    to none where j is not among them; elements go in _connected_order."""
     if source.n != target.n or len(source.strict_pairs) != len(target.strict_pairs):
         return
     cells = {}  # signature -> the target elements that have it
@@ -457,7 +450,8 @@ def isomorphisms(source, target, fixed=()):
         candidates[i] = (j,) if j in candidates[i] else ()
     if not all(candidates):
         return
-    order = sorted(range(source.n), key=lambda i: len(candidates[i]))
+    counts = tuple(map(len, candidates))
+    order = source.memo(("order", counts), _connected_order, counts)
     leq_s = source.leq_matrix
     leq_t = target.leq_matrix
     image = [-1] * source.n
@@ -499,7 +493,6 @@ def poset_maps(poset):
     isos = [PosetMap(p, MapKind.ISO) for p in order_isomorphisms(poset, poset)]
     if poset.n == 1:
         return tuple(isos)
-    antis = [
-        PosetMap(p, MapKind.ANTI) for p in order_isomorphisms(poset, poset.dual())
-    ]
+    dual = poset.memo("dual", Poset.dual)
+    antis = [PosetMap(p, MapKind.ANTI) for p in order_isomorphisms(poset, dual)]
     return tuple(isos + antis)

@@ -53,24 +53,21 @@ def brute_poset_maps(poset):
     return sorted(out)
 
 
-def brute_signatures(poset):
-    """Per element (|below|, |above|, height, depth), reading height and
-    depth off the element's position in every maximal chain through it."""
-    depth = [0] * poset.n
-    for i in range(poset.n):
-        depth[i] = max(
-            (len(c) - 1 - c.index(i) for c in poset.maximal_chains if i in c),
-            default=0,
+def brute_isomorphisms(source, target):
+    """Every element bijection f with x <= y iff f(x) <= f(y), in ascending
+    order, by filtering all n! permutations."""
+    if source.n != target.n:
+        return []
+    everything = range(source.n)
+    return [
+        f
+        for f in permutations(everything)
+        if all(
+            source.leq(x, y) == target.leq(f[x], f[y])
+            for x in everything
+            for y in everything
         )
-    heights = [0] * poset.n
-    for i in range(poset.n):
-        heights[i] = max(
-            (c.index(i) for c in poset.maximal_chains if i in c), default=0
-        )
-    return tuple(
-        (len(poset.below[i]), len(poset.above[i]), heights[i], depth[i])
-        for i in range(poset.n)
-    )
+    ]
 
 
 def literal_edge_map(poset, poset_map):

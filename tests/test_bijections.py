@@ -27,6 +27,7 @@ from posetlie import (
     enumerate_P,
     image_chain,
     in_M,
+    induced_class_map,
     is_admissible,
     is_admissible_oracle,
     is_compatible,
@@ -165,6 +166,29 @@ class TestInM:
             else:
                 with pytest.raises(PreconditionError):
                     chain_action(poset, theta)
+
+
+@pytest.mark.parametrize("perm", [(0, 0, 0, 0), (0, 1, 2, 3, 4), (0, 1, 2)])
+def test_operations_on_M_reject_non_permutations(perm):
+    # crown:2 has |B| = 4: a repeated image, a bijection of degree 5 and one
+    # of degree 3 are none of them in M, and no operation defined on M
+    # answers for them or fails with another error
+    poset = crown(2)
+    theta = EdgeBijection(perm)
+    assert not in_M(poset, theta)
+    for operation in (
+        chain_action,
+        satisfies_crown_criterion,
+        is_separating,
+        build_compatible_sigma,
+        support_maps,
+        induced_class_map,
+        is_admissible,
+        lambda p, t: is_admissible_oracle(p, t, 4),
+        lambda p, t: image_chain(p, t, p.maximal_chains[0]),
+    ):
+        with pytest.raises(PreconditionError, match="not a permutation of the strict pairs"):
+            operation(poset, theta)
 
 
 class TestCountStats:

@@ -1,11 +1,15 @@
 """The command-line surface: outputs, formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from math import factorial
 
 import pytest
 
+import posetlie
 from posetlie.cli import main
 
 POSET_FILE = """\
@@ -134,12 +138,14 @@ def test_orders_past_the_index_size_are_exact(capsys):
         ("kmn:6x6", 1036800, 1036800, True),
         ("crown:9", 2 * factorial(9) ** 2, 36, False),
         ("fence:21", factorial(20), 2, False),
+        ("fence:25", factorial(24), 2, False),
+        ("crown:11", 2 * factorial(11) ** 2, 44, False),
     ],
 )
 def test_frontier_posets_decide_in_seconds(capsys, selector, am_order, p_order, all_proper):
     # P's tower is built by leaf searches, never by listing P: kmn:6x6 has
-    # |P| = 1036800, and crown:9 and fence:21 hide their few poset maps
-    # from an element-by-element search
+    # |P| = 1036800, and crowns and fences hide their few poset maps from a
+    # search that places elements away from those already placed
     start = time.perf_counter()
     argv = ["decide", "--family", selector, "--bound", "40", "--format", "json"]
     code, out = run(capsys, *argv)
@@ -149,6 +155,33 @@ def test_frontier_posets_decide_in_seconds(capsys, selector, am_order, p_order, 
     assert data["am_order"] == am_order and data["p_order"] == p_order
     assert data["all_proper"] is all_proper
     assert elapsed < 10.0
+
+
+@pytest.mark.parametrize("selector, order", [("crown:11", 44), ("fence:21", 2)])
+def test_frontier_posets_aut_in_seconds(capsys, selector, order):
+    # most elements of a crown or fence share (|below|, |above|): only a
+    # search that places each element next to a placed one finds the few
+    # maps without backtracking through the rest
+    start = time.perf_counter()
+    code, out = run(capsys, "aut", "--family", selector, "--format", "json")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(out)["order"] == order
+    assert elapsed < 10.0
+
+
+def test_closed_output_pipe_exits_141_silently():
+    # aut kmn:5x5 writes 28800 lines, far past a pipe's buffer, so the CLI
+    # is still writing when the reader closes after one line
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(posetlie.__file__)))
+    with subprocess.Popen(
+        [sys.executable, "-m", "posetlie.cli", "aut", "--family", "kmn:5x5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert proc.stdout.readline() == b"order: 28800\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
 
 
 def test_decide_crown3(capsys):

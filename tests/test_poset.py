@@ -9,6 +9,7 @@ from posetlie import (
     DisconnectedError,
     MapKind,
     ParseError,
+    Poset,
     PreconditionError,
     closed_semiwalks,
     is_isomorphic,
@@ -24,17 +25,15 @@ from posetlie.families import (
     fence,
     kmn,
     star,
-    suite,
 )
-from posetlie.poset import _signatures
+from posetlie.poset import isomorphisms
 
 from helpers import (
     brute_maximal_chains,
+    brute_isomorphisms,
     brute_poset_maps,
-    brute_signatures,
     brute_weak_crowns,
     canonical_crown,
-    mixed_length_posets,
     random_bipartite_poset,
     random_connected_poset,
 )
@@ -175,18 +174,6 @@ class TestPosetMaps:
                         else:
                             assert poset.leq(x, y) == poset.leq(m(y), m(x))
 
-    def test_signatures_agree_with_chain_scan(self):
-        # one pass over a linear extension gives the heights and depths that
-        # scanning every maximal chain through each element reads off
-        import random
-
-        rng = random.Random(59)
-        posets = [p for _, p in suite()] + list(mixed_length_posets().values())
-        posets.append(example20())
-        posets += [random_connected_poset(rng, rng.randint(2, 9)) for _ in range(40)]
-        for poset in posets:
-            assert _signatures(poset) == brute_signatures(poset)
-
     def test_compose_and_inverse(self):
         poset = crown(3)
         maps = poset_maps(poset)
@@ -196,6 +183,65 @@ class TestPosetMaps:
             for b in maps:
                 c = a.compose(b)
                 assert (c.perm, c.kind) in perms
+
+
+def relabelled(poset, rng):
+    """The poset with its elements moved to random new indices."""
+    to = rng.sample(range(poset.n), poset.n)
+    leq = [[False] * poset.n for _ in range(poset.n)]
+    for x, y in poset.all_pairs:
+        leq[to[x]][to[y]] = True
+    return Poset(poset.names, leq)
+
+
+def non_isomorphic_twin(poset, rng):
+    """A random connected poset with the same n and |B| that is not
+    isomorphic to poset, or None where none turns up in 200 draws."""
+    for _ in range(200):
+        other = random_connected_poset(rng, poset.n)
+        same_size = len(other.strict_pairs) == len(poset.strict_pairs)
+        if same_size and not brute_isomorphisms(poset, other):
+            return other
+    return None
+
+
+def pin_sets(source, target, isos, rng):
+    """Pins to test the search with: none, part of a map that exists, random
+    ones, a conflicting pair (i, j), (i, j'), and a pin to an element of
+    another (|below|, |above|)."""
+    n = source.n
+    out = [()]
+    if isos:
+        f = rng.choice(isos)
+        out.append(tuple((i, f[i]) for i in rng.sample(range(n), rng.randint(1, n))))
+    out.append(tuple((i, rng.randrange(n)) for i in rng.sample(range(n), rng.randint(1, n))))
+    i, j, k = rng.randrange(n), *rng.sample(range(n), 2)
+    out.append(((i, j), (i, k)))
+
+    def signature(poset, x):
+        return len(poset.below[x]), len(poset.above[x])
+
+    i = rng.randrange(n)
+    others = [j for j in range(n) if signature(target, j) != signature(source, i)]
+    if others:
+        out.append(((i, rng.choice(others)),))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_isomorphisms_match_brute_filter_with_pins(seed):
+    # isomorphisms(source, target, fixed) is every bijection of the n! that
+    # keeps the order and the pins, each once, onto the poset itself, its
+    # dual, a relabelling and a poset with the same n and |B| that is not
+    # isomorphic to it
+    rng = random.Random(seed)
+    source = random_connected_poset(rng, 2 + seed % 6)
+    targets = [source, source.dual(), relabelled(source, rng), non_isomorphic_twin(source, rng)]
+    for target in filter(None, targets):
+        isos = brute_isomorphisms(source, target)
+        for fixed in pin_sets(source, target, isos, rng):
+            expected = [f for f in isos if all(f[i] == j for i, j in fixed)]
+            assert sorted(isomorphisms(source, target, fixed)) == expected
 
 
 def seeded_bipartite(seed):
