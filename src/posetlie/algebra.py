@@ -149,10 +149,6 @@ class IncidenceElement:
     def to_vector(self):
         return _vector(self.poset, self.coeffs, self.field)
 
-    @classmethod
-    def from_vector(cls, poset, vector, field=RATIONALS):
-        return cls(poset, _coeffs(poset, vector), field)
-
     def to_json(self):
         return {
             "pairs": [

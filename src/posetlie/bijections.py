@@ -370,21 +370,25 @@ def is_separating(poset, theta):
 
 def _levels(poset):
     """Per maximal chain, in search order with two-element chains last: its
-    pairs placed by earlier chains, its new pairs, and their images under
-    each of the chain's monotone images."""
+    pairs, the positions of those that earlier chains place and of the rest,
+    and the images of its size.  These are every monotone image of a chain
+    of that size, in the chain-image table's order, and an index from
+    (position, pair) to the images putting that pair there, in the same
+    order: linear in the table."""
     table = _chain_images(poset)
-    levels = []
-    placed = set()
+    levels, placed, sizes = [], set(), {}
     for c in sorted(poset.maximal_chains, key=lambda c: len(c) == 2):
         sources, options = table[c]
+        if len(c) not in sizes:
+            index = {}
+            for dsts in options:
+                for key in enumerate(dsts):
+                    index.setdefault(key, []).append(dsts)
+            sizes[len(c)] = options, index
         old = [k for k, b in enumerate(sources) if b in placed]
         new = [k for k, b in enumerate(sources) if b not in placed]
         placed.update(sources)
-        levels.append((
-            tuple(sources[k] for k in old),
-            [sources[k] for k in new],
-            [(tuple(dsts[k] for k in old), [dsts[k] for k in new]) for dsts in options],
-        ))
+        levels.append((sources, old, new, sizes[len(c)]))
     return levels
 
 
@@ -446,7 +450,9 @@ def _fixed_leaf(poset, form, fixed):
     pairs e and f with one image would have equal rows in the form.  In Q,
     e - f would then be a cycle of two edges, which a simple graph has
     none of; in C, e and f would share a chain, whose image maps them
-    apart."""
+    apart.  A chain with a pair placed or fixed takes as candidates the
+    images that agree with it, from the index; the search keeps one
+    generator per chain entered on a stack, so it has no depth limit."""
     levels = poset.memo("levels", _levels)
     image, placed = [-1] * len(form), []
     for b, t in fixed.items():
@@ -455,15 +461,19 @@ def _fixed_leaf(poset, form, fixed):
         if any(form[t][image[c]] != form[b][c] for c in placed):
             return None
 
-    def place(k):
-        if k == len(levels):
-            return tuple(image)
-        old, new, options = levels[k]
-        for old_images, new_images in options:
-            if tuple(map(image.__getitem__, old)) != old_images:
+    def fitting(sources, old, new, images):
+        """Place each candidate image of the chain that fits, in turn."""
+        candidates, index = images
+        known = old or [k for k in new if sources[k] in fixed]
+        if known:
+            candidates = index.get((known[0], image[sources[known[0]]]), ())
+        depth, want = len(placed), [image[sources[k]] for k in old]
+        for dsts in candidates:
+            del placed[depth:]
+            if [dsts[k] for k in old] != want:
                 continue
-            depth = len(placed)
-            for src, dst in zip(new, new_images):
+            for k in new:
+                src, dst = sources[k], dsts[k]
                 if fixed.get(src, dst) != dst:
                     break
                 if src not in fixed:
@@ -473,15 +483,16 @@ def _fixed_leaf(poset, form, fixed):
                     if any(to[image[b]] != row[b] for b in placed):
                         break
             else:
-                leaf = place(k + 1)
-                if leaf is not None:
-                    return leaf
-            del placed[depth:]
-        return None
+                yield True
 
-    leaf = place(0)
-    del place  # a self-recursive closure is a cycle: free it now
-    return leaf
+    stack = []
+    while len(stack) < len(levels):
+        stack.append(fitting(*levels[len(stack)]))
+        while not next(stack[-1], False):
+            stack.pop()
+            if not stack:
+                return None
+    return tuple(image)
 
 
 def _close(orbit, gens):

@@ -482,3 +482,81 @@ def listing_decision(poset):
         "single_class_sufficient": classes == 1,
         "counterexample": outside[0].to_json(poset) if outside else None,
     }
+
+
+def ordinal_sum(*sizes):
+    """The ordinal sum of antichains of the given sizes, bottom first: every
+    element of a level lies below every element of the next."""
+    from posetlie import Poset
+
+    names, pairs, start = [], [], 0
+    for level, size in enumerate(sizes):
+        names += ["a%d_%d" % (level, i) for i in range(size)]
+        if level:
+            below = range(start - sizes[level - 1], start)
+            pairs += [(x, y) for x in below for y in range(start, start + size)]
+        start += size
+    return Poset.from_relations(names, pairs)
+
+
+def _recursive_levels(poset):
+    """Per maximal chain, in search order with two-element chains last: its
+    pairs placed by earlier chains, its new pairs, and their images under
+    each of the chain's monotone images."""
+    from posetlie.bijections import _chain_images
+
+    table = _chain_images(poset)
+    levels = []
+    placed = set()
+    for c in sorted(poset.maximal_chains, key=lambda c: len(c) == 2):
+        sources, options = table[c]
+        old = [k for k, b in enumerate(sources) if b in placed]
+        new = [k for k, b in enumerate(sources) if b not in placed]
+        placed.update(sources)
+        levels.append((
+            tuple(sources[k] for k in old),
+            [sources[k] for k in new],
+            [(tuple(dsts[k] for k in old), [dsts[k] for k in new]) for dsts in options],
+        ))
+    return levels
+
+
+def recursive_fixed_leaf(poset, form, fixed):
+    """The chain-assignment leaf search as one recursion per maximal chain
+    over every same-size image of each chain: one theta in M ∩ Aut(form)
+    with theta(b) = fixed[b] for b in fixed, as a perm tuple, or None."""
+    levels = poset.memo("recursive_levels", _recursive_levels)
+    image, placed = [-1] * len(form), []
+    for b, t in fixed.items():
+        image[b] = t
+        placed.append(b)
+        if any(form[t][image[c]] != form[b][c] for c in placed):
+            return None
+
+    def place(k):
+        if k == len(levels):
+            return tuple(image)
+        old, new, options = levels[k]
+        for old_images, new_images in options:
+            if tuple(map(image.__getitem__, old)) != old_images:
+                continue
+            depth = len(placed)
+            for src, dst in zip(new, new_images):
+                if fixed.get(src, dst) != dst:
+                    break
+                if src not in fixed:
+                    image[src] = dst
+                    placed.append(src)
+                    row, to = form[src], form[dst]
+                    if any(to[image[b]] != row[b] for b in placed):
+                        break
+            else:
+                leaf = place(k + 1)
+                if leaf is not None:
+                    return leaf
+            del placed[depth:]
+        return None
+
+    leaf = place(0)
+    del place  # a self-recursive closure is a cycle: free it now
+    return leaf

@@ -22,8 +22,10 @@ from helpers import (
     listing_decision,
     literal_edge_map,
     mixed_length_posets,
+    ordinal_sum,
     random_bipartite_poset,
     random_connected_poset,
+    recursive_fixed_leaf,
 )
 from posetlie import (
     EdgeBijection,
@@ -234,6 +236,39 @@ def test_a_leaf_exists_for_every_prefix_the_listing_has(name, form):
                 assert leaf[: i + 1] == prefix and leaf in listed
 
 
+def _differential_cases():
+    out = dict(suite())
+    out.update(mixed_length_posets())
+    out["example:20"] = from_selector("example:20")
+    rng = random.Random(31)
+    for k in range(100):
+        out["random%03d" % k] = random_connected_poset(rng, rng.randint(4, 9))
+    return out
+
+
+DIFFERENTIAL = _differential_cases()
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_indexed_leaf_matches_the_recursive_leaf(name):
+    # every (base prefix, candidate) the tower of C or of Q asks for gets
+    # the same leaf from the indexed search as from the recursive one over
+    # every same-size image, and the tower built on the recursive leaves is
+    # the one enumerate_M or enumerate_AM builds
+    poset = DIFFERENTIAL[name]
+
+    def both(poset, form, fixed):
+        leaf = recursive_fixed_leaf(poset, form, fixed)
+        assert _fixed_leaf(poset, form, fixed) == leaf, fixed
+        return leaf
+
+    for form, group in ((_chain_form(poset), enumerate_M), (_cut_form(poset), enumerate_AM)):
+        reference, tower = bijections._tower(poset, form, both), group(poset)
+        assert [[*level.items()] for level in reference._transversals] == [
+            [*level.items()] for level in tower._transversals
+        ]
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_decide_matches_a_listing_based_decision(name):
     poset = CASES[name]
@@ -251,3 +286,17 @@ def test_decide_sizes_crowns_no_listing_reaches(n, bound, capsys):
     assert (data["am_order"], data["p_order"]) == (2 * factorial(n) ** 2, 4 * n)
     assert data["all_proper"] is False
     assert elapsed < 5.0
+
+
+@pytest.mark.parametrize(
+    "sizes, order",
+    [((10, 10, 10), 2 * factorial(10) ** 3), ((4, 4, 4, 4, 4), 2 * factorial(4) ** 5)],
+)
+def test_decide_runs_past_a_thousand_maximal_chains(sizes, order):
+    # the leaf search walks one maximal chain after another on a stack, so
+    # 1,000 and 1,024 chains meet no recursion limit
+    poset = ordinal_sum(*sizes)
+    assert len(poset.maximal_chains) >= 1000
+    verdict = decide_all_proper(poset)
+    assert verdict.all_proper
+    assert verdict.am_order == verdict.p_order == order
