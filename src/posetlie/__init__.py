@@ -76,7 +76,6 @@ from .poset import (
     PosetMap,
     WeakCrown,
     closed_semiwalks,
-    is_isomorphic,
     order_isomorphisms,
     parse_poset,
     poset_maps,

@@ -277,10 +277,6 @@ def _per_poset(build):
     return cached
 
 
-def _basis_elements(poset, field):
-    return [IncidenceElement.basis(poset, x, y, field) for (x, y) in poset.all_pairs]
-
-
 def _vector(poset, coeffs, field):
     """Dense coefficients over the sorted basis of comparable pairs."""
     zero = field.zero
@@ -292,24 +288,30 @@ def _coeffs(poset, vector):
 
 
 @_per_poset
-def _basis_brackets(poset, field):
-    """(i, j, coefficients of [e_i, e_j]) for every pair i < j of basis
-    indices."""
-    elements = _basis_elements(poset, field)
+def _basis_products(poset, field):
+    """(i, j, coefficients of e_i e_j) for every pair of basis indices:
+    e_xy e_zw is e_xw when y = z and 0 otherwise."""
+    one = field.one
+    pairs = poset.all_pairs
     return tuple(
-        (i, j, bracket(a, elements[j]).coeffs)
-        for i, a in enumerate(elements)
-        for j in range(i + 1, len(elements))
+        (i, j, {(x, w): one} if y == z else {})
+        for i, (x, y) in enumerate(pairs)
+        for j, (z, w) in enumerate(pairs)
     )
 
 
 @_per_poset
-def _basis_products(poset, field):
-    """(i, j, coefficients of e_i e_j) for every pair of basis indices."""
-    elements = _basis_elements(poset, field)
-    return tuple(
-        (i, j, (a * b).coeffs) for i, a in enumerate(elements) for j, b in enumerate(elements)
-    )
+def _basis_brackets(poset, field):
+    """(i, j, coefficients of [e_i, e_j]) for every pair i < j of basis
+    indices.  At most one of e_i e_j and e_j e_i is nonzero: both would
+    need e_i = e_xy and e_j = e_yx, so x = y and i = j."""
+    dim = len(poset.all_pairs)
+    product = [coeffs for _, _, coeffs in _basis_products(poset, field)]
+
+    def lie(i, j):
+        return product[i * dim + j] or {k: -v for k, v in product[j * dim + i].items()}
+
+    return tuple((i, j, lie(i, j)) for i in range(dim) for j in range(i + 1, dim))
 
 
 @_per_poset
@@ -329,17 +331,17 @@ def commutator_subspace(poset, field=RATIONALS):
 
 @_per_poset
 def _center_cached(poset, field):
-    elements = _basis_elements(poset, field)
-    dim = len(elements)
-    # unknown z = sum z_i b_i; constraints: [z, b_j] = 0 for every j
-    rows = []
-    for gen in elements:
-        images = [bracket(b, gen).to_vector() for b in elements]
-        for coord in range(dim):
-            row = [images[i][coord] for i in range(dim)]
-            if any(row):
-                rows.append(row)
-    sols = linalg.nullspace(rows, dim, field.one)
+    # unknown z = sum z_i e_i; constraints: [z, e_j] = 0 for every j, one row
+    # per (j, pair) that some [e_i, e_j] reaches
+    dim = len(poset.all_pairs)
+    index = poset.all_pair_index
+    zero = field.zero
+    rows = {}
+    for i, j, lie in _basis_brackets(poset, field):
+        for pair, value in lie.items():  # and [e_j, e_i] = -[e_i, e_j]
+            rows.setdefault((j, index[pair]), [zero] * dim)[i] = value
+            rows.setdefault((i, index[pair]), [zero] * dim)[j] = -value
+    sols = linalg.nullspace(list(rows.values()), dim, field.one)
     return tuple(_coeffs(poset, v) for v in sols)
 
 

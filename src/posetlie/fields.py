@@ -96,9 +96,6 @@ class RationalField:
     zero = Fraction(0)
     one = Fraction(1)
 
-    def from_int(self, k):
-        return Fraction(k)
-
     def parse(self, text):
         return Fraction(text)
 
@@ -128,9 +125,6 @@ class PrimeField:
         self.name = "fp:%d" % p
         self.zero = Mod(0, p)
         self.one = Mod(1, p)
-
-    def from_int(self, k):
-        return Mod(k, self.p)
 
     def parse(self, text):
         if "/" in text:

@@ -484,10 +484,6 @@ def order_isomorphisms(source, target):
     return sorted(isomorphisms(source, target))
 
 
-def is_isomorphic(source, target):
-    return next(isomorphisms(source, target), None) is not None
-
-
 def poset_maps(poset):
     """All automorphisms and anti-automorphisms, sorted (Iso first)."""
     isos = [PosetMap(p, MapKind.ISO) for p in order_isomorphisms(poset, poset)]

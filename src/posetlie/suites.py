@@ -294,13 +294,13 @@ def supports_block():
     out = []
     for name, poset in _small_suite(6):
         ok = True
+        classes = chn.chain_classes(poset)
         for theta in bij.enumerate_AM(poset):
             try:
                 maps = chn.support_maps(poset, theta)
             except ExtractionError:
                 ok = False
                 break
-            classes = chn.chain_classes(poset)
             for sm in maps:
                 lam = dict(sm.mapping)
                 for x, y in poset.strict_pairs:

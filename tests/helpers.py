@@ -133,6 +133,52 @@ def literal_convolution(f, g):
     return IncidenceElement(poset, coeffs, f.field)
 
 
+def convolution_products(poset, field):
+    """(i, j, coefficients of e_i e_j) for every pair of basis indices, each
+    product formed by convolving the two basis elements."""
+    from posetlie.algebra import IncidenceElement
+
+    elements = [IncidenceElement.basis(poset, x, y, field) for x, y in poset.all_pairs]
+    return tuple(
+        (i, j, (a * b).coeffs) for i, a in enumerate(elements) for j, b in enumerate(elements)
+    )
+
+
+def convolution_brackets(poset, field):
+    """(i, j, coefficients of [e_i, e_j]) for every i < j, each bracket
+    formed as e_i e_j - e_j e_i by convolution."""
+    from posetlie.algebra import IncidenceElement, bracket
+
+    elements = [IncidenceElement.basis(poset, x, y, field) for x, y in poset.all_pairs]
+    return tuple(
+        (i, j, bracket(a, elements[j]).coeffs)
+        for i, a in enumerate(elements)
+        for j in range(i + 1, len(elements))
+    )
+
+
+def convolution_center(poset, field):
+    """A basis of the center, as coefficient dicts: the null space of the
+    rows [z, e_j] = 0, with every bracket of basis elements formed by
+    convolution as a dense vector."""
+    from posetlie import linalg
+    from posetlie.algebra import IncidenceElement, bracket
+
+    elements = [IncidenceElement.basis(poset, x, y, field) for x, y in poset.all_pairs]
+    dim = len(elements)
+    rows = []
+    for gen in elements:
+        images = [bracket(b, gen).to_vector() for b in elements]
+        for coord in range(dim):
+            row = [images[i][coord] for i in range(dim)]
+            if any(row):
+                rows.append(row)
+    return tuple(
+        {pair: v for pair, v in zip(poset.all_pairs, vector) if v}
+        for vector in linalg.nullspace(rows, dim, field.one)
+    )
+
+
 @lru_cache(maxsize=None)
 def _brute_chain_images(poset):
     """Per maximal chain: the chain, its pairs, and every image of them that

@@ -34,7 +34,13 @@ from posetlie.fields import RATIONALS, PrimeField
 from posetlie import linalg
 from posetlie.families import chain, crown, example6, kmn, suite
 
-from helpers import literal_convolution, random_element
+from helpers import (
+    convolution_brackets,
+    convolution_center,
+    convolution_products,
+    literal_convolution,
+    random_element,
+)
 
 
 def e(poset, x, y):
@@ -87,10 +93,10 @@ class TestMultiply:
     def test_prime_field_arithmetic(self):
         gf5 = PrimeField(5)
         p = chain(3)
-        f = IncidenceElement(p, {(0, 1): gf5.from_int(3)}, gf5)
-        g = IncidenceElement(p, {(1, 2): gf5.from_int(4)}, gf5)
+        f = IncidenceElement(p, {(0, 1): gf5.one * 3}, gf5)
+        g = IncidenceElement(p, {(1, 2): gf5.one * 4}, gf5)
         product = f * g
-        assert product(0, 2) == gf5.from_int(2)  # 12 mod 5
+        assert product(0, 2) == gf5.one * 2  # 12 mod 5
 
     def test_diagonal_radical_split_unique(self):
         rng = random.Random(17)
@@ -106,7 +112,7 @@ class TestMultiply:
 def _random_over(poset, rng, field):
     """A random element with values in {-2, ..., 2}; over GF(3) some cancel."""
     coeffs = {
-        pair: field.from_int(rng.randint(-2, 2))
+        pair: field.one * rng.randint(-2, 2)
         for pair in poset.all_pairs
         if rng.random() < 0.6
     }
@@ -226,6 +232,20 @@ class TestSubspaces:
             for _ in range(5):
                 f = random_element(poset, rng)
                 assert bracket(z, f).is_zero()
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(3)], ids=["q", "fp3"])
+def test_structure_constants_match_convolution(field):
+    # the closed-form tables, e_xy e_zw = [y = z] e_xw and the brackets read
+    # off it, and the center taken from those brackets, against the tables
+    # built by convolving basis elements, on the suite (example:6 included)
+    from posetlie import algebra
+
+    assert "example:6" in dict(suite())
+    for name, poset in suite():
+        assert algebra._basis_products(poset, field) == convolution_products(poset, field), name
+        assert algebra._basis_brackets(poset, field) == convolution_brackets(poset, field), name
+        assert algebra._center_cached(poset, field) == convolution_center(poset, field), name
 
 
 class TestInducedMap:

@@ -1,6 +1,7 @@
 """Group verification and the structural witnesses for crown groups."""
 
 import random
+import time
 from math import factorial
 
 import pytest
@@ -18,6 +19,7 @@ from posetlie import (
     enumerate_P,
     verify_group,
 )
+from posetlie.bijections import Tower
 from posetlie.families import crown, from_selector, kmn, suite
 
 DIFFERENTIAL = (
@@ -101,7 +103,7 @@ class TestDifferential:
         for key, elements in known_groups.items():
             group = verify_group(elements)
             assert group.elements == tuple(sorted(set(elements))), key
-            assert group.generating_set() == brute_generating_set(elements), key
+            assert group.generators == tuple(g.perm for g in brute_generating_set(elements)), key
             if group.order <= LITERAL_LIMIT:
                 assert brute_is_group(elements), key
             else:
@@ -218,8 +220,7 @@ class TestDihedralWitness:
 
 class TestCrownParityWitness:
     def test_crown3(self):
-        group = verify_group(enumerate_AM(crown(3)))
-        report = crown_parity_witness(group, 3)
+        report = crown_parity_witness(enumerate_AM(crown(3)), 3)
         assert report["order"] == 72
         assert report["preserving_order"] == 36
         assert report["index"] == 2
@@ -227,8 +228,7 @@ class TestCrownParityWitness:
         assert report["even_orbit_actions"] == 6
 
     def test_crown4(self):
-        group = verify_group(enumerate_AM(crown(4)))
-        assert crown_parity_witness(group, 4) == {
+        assert crown_parity_witness(enumerate_AM(crown(4)), 4) == {
             "order": 1152,
             "preserving_order": 576,
             "index": 2,
@@ -237,14 +237,56 @@ class TestCrownParityWitness:
         }
 
     def test_crown2(self):
-        group = verify_group(enumerate_AM(crown(2)))
-        report = crown_parity_witness(group, 2)
+        report = crown_parity_witness(enumerate_AM(crown(2)), 2)
         assert report["order"] == 8 and report["preserving_order"] == 4
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_report_matches_the_listing(self, n):
+        # every listed element preserves or swaps the families, half of
+        # them preserve, and those act as the full S_n on each family
+        poset = crown(n)
+        odd = frozenset(poset.pair_index[(i, n + i)] for i in range(n))
+        even = frozenset(poset.pair_index[((i + 1) % n, n + i)] for i in range(n))
+        tower = enumerate_AM(poset)
+        elements = list(tower)
+        images = [frozenset(g.perm[b] for b in odd) for g in elements]
+        assert set(images) == {odd, even}
+        preserving = [g for g, image in zip(elements, images) if image == odd]
+        odd_actions = {tuple(g.perm[b] for b in sorted(odd)) for g in preserving}
+        even_actions = {tuple(g.perm[b] for b in sorted(even)) for g in preserving}
+        assert crown_parity_witness(tower, n) == {
+            "order": len(elements),
+            "preserving_order": len(preserving),
+            "index": len(elements) // len(preserving),
+            "odd_orbit_actions": len(odd_actions),
+            "even_orbit_actions": len(even_actions),
+        }
+
+    def test_crown8_without_listing(self):
+        tower = enumerate_AM(crown(8))
+        start = time.perf_counter()
+        report = crown_parity_witness(tower, 8)
+        assert report["order"] == 2 * factorial(8) ** 2
+        assert report["odd_orbit_actions"] == report["even_orbit_actions"] == factorial(8)
+        assert time.perf_counter() - start < 0.1
+
     def test_proper_crown3_mismatch(self):
-        group = verify_group(enumerate_P(crown(3)))
-        with pytest.raises(StructureMismatch):
-            crown_parity_witness(group, 3)
+        with pytest.raises(StructureMismatch, match="order 12"):
+            crown_parity_witness(enumerate_P(crown(3)), 3)
+
+    def test_order_8_group_that_mixes_the_families(self):
+        # crown:2's odd pairs are 0 and 3; this dihedral group of order 8
+        # keeps the blocks {0, 1}, {2, 3} instead, and (0 1) mixes the
+        # families
+        identity = (0, 1, 2, 3)
+        tower = Tower(4, [
+            {0: identity, 1: (1, 0, 2, 3), 2: (2, 3, 0, 1), 3: (3, 2, 1, 0)},
+            {1: identity},
+            {2: identity, 3: (0, 1, 3, 2)},
+        ])
+        assert verify_group(tower).order == 8
+        with pytest.raises(StructureMismatch, match="neither preserves nor swaps"):
+            crown_parity_witness(tower, 2)
 
     def test_json_report(self):
         group = verify_group(enumerate_P(crown(2)))
