@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import PreconditionError, WellDefinednessError
 from .fields import RATIONALS
-from .poset import MapKind, Poset, PosetMap, isomorphisms, weak_crowns
+from .poset import MapKind, Poset, PosetMap, check_semiwalk_bound, isomorphisms, weak_crowns
 
 
 class Direction(enum.Enum):
@@ -188,6 +188,8 @@ def count_stats(poset, theta, walk, z):
     for some w < z, with + for an up-step and - for a down-step."""
     if len(walk) < 2 or walk[0] != walk[-1]:
         raise PreconditionError("walk must be closed")
+    if z not in range(poset.n):
+        raise PreconditionError("z must be an element index in range(n)")
     steps, ups, downs = _step_table(poset)
     perm = theta.perm
     s_hits = {perm[b] for b in ups[z]}
@@ -211,51 +213,68 @@ def count_stats(poset, theta, walk, z):
     return CountStats(s_plus, s_minus, t_plus, t_minus)
 
 
-def _net_steps(poset, walk):
-    """The net signed count of each strict pair along a semiwalk (+1 per
-    up-step, -1 per down-step), pairs in order of first step, zeros dropped."""
-    steps = _step_table(poset)[0]
-    net = {}
-    for b, sign in map(steps.__getitem__, zip(walk, walk[1:])):
-        net[b] = net.get(b, 0) + sign
-    return tuple((b, count) for b, count in net.items() if count)
-
-
-def _build_steps(poset, walks, *args):
-    """The net step vectors of the walks from walks(poset, *args): zero
-    vectors dropped and the rest deduplicated up to sign, in order of first
-    occurrence.
-
-    _balanced_on_steps is linear in a walk's net vector and asks only
-    whether a sum is zero, so step order, cancelling steps and the sign of
-    the whole vector do not matter; a simple cycle keeps every step.
-    """
-    out = []
-    seen = set()
-    for walk in walks(poset, *args):
-        steps = _net_steps(poset, walk)
-        canon = tuple(sorted(steps))
-        if steps and canon not in seen:
-            seen.add(canon)
-            seen.add(tuple((b, -count) for b, count in canon))
-            out.append(steps)
-    return tuple(out)
-
-
-def _crown_cycles(poset):
-    return (c.cycle() for c in weak_crowns(poset))
+def _build_crown_steps(poset):
+    """The net step vector of each weak crown x1 < y1 > x2 < ... > x1, in
+    step order: +1 on (x_i, y_i), -1 on (x_{i+1}, y_i).  The crowns are
+    distinct simple cycles, so their vectors are distinct up to sign."""
+    index = poset.pair_index
+    return tuple(
+        tuple(
+            step
+            for x, y, z in zip(c.mins, c.maxs, c.mins[1:] + c.mins[:1])
+            for step in ((index[x, y], 1), (index[z, y], -1))
+        )
+        for c in weak_crowns(poset)
+    )
 
 
 def _crown_steps(poset):
-    return poset.memo("weak_crowns", _build_steps, _crown_cycles)
+    return poset.memo("weak_crowns", _build_crown_steps)
+
+
+def _sweep_semiwalks(poset, max_length):
+    """The net step vectors of the closed semiwalks of length 2..max_length,
+    nonzero and once each up to sign, as _balanced_on_steps needs them, found
+    without listing a walk.  Rotations share a vector, so each walk starts at
+    its least element s and keeps to elements >= s.  States (end element, net
+    vector) advance a step per round; walks reaching one state share its
+    extensions, so it is extended once, at its first round, and dropped where
+    its element is farther from s than the steps left.  A vector is one int,
+    a digit of `width` bits per pair, each offset by half: `zero` is the zero
+    vector and 2 * zero - net its negation."""
+    size, width = len(poset.strict_pairs), max_length.bit_length() + 1
+    half, mask = 1 << width - 1, (1 << width) - 1
+    zero = sum(half << width * b for b in range(size))
+    moves = [[] for _ in range(poset.n)]
+    for (u, v), (b, sign) in _step_table(poset)[0].items():
+        moves[u].append((v, sign << width * b))
+    found = set()
+    for s in range(poset.n):
+        dist, todo = {s: 0}, [s]  # from s, through elements >= s
+        for u in todo:
+            for v, _ in moves[u]:
+                if v > s and v not in dist:
+                    dist[v] = dist[u] + 1
+                    todo.append(v)
+        frontier = seen = {(s, zero)}
+        for left in reversed(range(max_length)):
+            frontier = {
+                (v, net + step)
+                for u, net in frontier
+                for v, step in moves[u]
+                if dist.get(v, max_length) <= left
+            } - seen
+            seen |= frontier
+            found.update(min(net, 2 * zero - net) for v, net in frontier if v == s and net != zero)
+    return tuple(
+        tuple((b, c) for b in range(size) if (c := (net >> width * b & mask) - half))
+        for net in sorted(found)
+    )
 
 
 def _semiwalk_steps(poset, max_length):
-    from .poset import closed_semiwalks
-
-    return poset.memo(
-        ("closed_semiwalks", max_length), _build_steps, closed_semiwalks, max_length
-    )
+    check_semiwalk_bound(max_length)
+    return poset.memo(("semiwalk_steps", max_length), _sweep_semiwalks, max_length)
 
 
 def _balanced_on_steps(poset, inverse_perm, steps_lists):

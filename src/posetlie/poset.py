@@ -387,10 +387,17 @@ def weak_crowns(poset):
     return tuple(sorted(crowns, key=lambda c: (c.size, c.mins, c.maxs)))
 
 
-def closed_semiwalks(poset, max_length):
-    """All closed semiwalks of length 2..max_length, raw (no identification)."""
+def check_semiwalk_bound(max_length):
+    """Reject a semiwalk length bound that is not an int of at least 2."""
+    if not isinstance(max_length, int):
+        raise PreconditionError("semiwalk length bound must be an int")
     if max_length < 2:
         raise PreconditionError("semiwalk length bound must be at least 2")
+
+
+def closed_semiwalks(poset, max_length):
+    """All closed semiwalks of length 2..max_length, raw (no identification)."""
+    check_semiwalk_bound(max_length)
     neighbors = tuple(
         tuple(sorted(poset.above[i] + poset.below[i])) for i in range(poset.n)
     )

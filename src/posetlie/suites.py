@@ -415,23 +415,24 @@ def properties_block():
     out.append(_check("incdec_shared_pair_is_span", violations_pair == 0))
     out.append(_check("incdec_shared_element_extremal", violations_elem == 0))
 
-    # cyclic shift and reversal invariance of the counting identity; chain:3
-    # serves both loops, and so does each of its thetas' stats tables, while
-    # the other posets' tables go with their theta
+    # cyclic shift and reversal invariance of the counting identity. chain:3
+    # serves both loops, with its thetas' stats tables; other tables go with
+    # their theta, and each walk's partners are formed once per poset
     chain3 = fam.chain(3)
     shared = {chain3: {}}
     shift_bad = 0
     for poset in (fam.crown(2), chain3, fam.kmn(2, 3)):
-        walks = pst.closed_semiwalks(poset, 5)
+        partners = [
+            (walk, walk[1:-1] + walk[:2], walk[::-1])
+            for walk in pst.closed_semiwalks(poset, 5)
+        ]
         for theta in list(bij.enumerate_M(poset))[:24]:
             stats = shared.get(poset, {}).setdefault(theta, {})
-            for walk in walks:
-                body = walk[:-1]
-                shifted = body[1:] + body[:1] + (body[1],)
+            for walk, shifted, reverse in partners:
                 rows = zip(
                     _stats_row(stats, poset, theta, walk),
                     _stats_row(stats, poset, theta, shifted),
-                    _stats_row(stats, poset, theta, walk[::-1]),
+                    _stats_row(stats, poset, theta, reverse),
                 )
                 for base, shift, rev in rows:
                     if base != shift:
@@ -445,27 +446,25 @@ def properties_block():
     # collapsing a monotone run preserves both signed differences
     collapse_bad = 0
     for poset in (chain3, fam.chain(4), fam.example6()):
-        walks = pst.closed_semiwalks(poset, 6)
+        collapses = [
+            (walk, walk[: k + 1] + walk[k + 2:])
+            for walk in pst.closed_semiwalks(poset, 6)
+            for k, (a, b, c) in enumerate(zip(walk, walk[1:], walk[2:]))
+            if (poset.lt(a, b) and poset.lt(b, c)) or (poset.lt(c, b) and poset.lt(b, a))
+        ]
         for theta in bij.enumerate_M(poset):
             stats = shared.get(poset, {}).setdefault(theta, {})
-            for walk in walks:
-                for k in range(len(walk) - 2):
-                    a, b, c = walk[k], walk[k + 1], walk[k + 2]
-                    if (poset.lt(a, b) and poset.lt(b, c)) or (
-                        poset.lt(c, b) and poset.lt(b, a)
+            for walk, collapsed in collapses:
+                rows = zip(
+                    _stats_row(stats, poset, theta, walk),
+                    _stats_row(stats, poset, theta, collapsed),
+                )
+                for full, short in rows:
+                    if (
+                        full.s_plus - full.t_plus != short.s_plus - short.t_plus
+                        or full.s_minus - full.t_minus != short.s_minus - short.t_minus
                     ):
-                        collapsed = walk[: k + 1] + walk[k + 2:]
-                        rows = zip(
-                            _stats_row(stats, poset, theta, walk),
-                            _stats_row(stats, poset, theta, collapsed),
-                        )
-                        for full, short in rows:
-                            if (
-                                full.s_plus - full.t_plus != short.s_plus - short.t_plus
-                                or full.s_minus - full.t_minus
-                                != short.s_minus - short.t_minus
-                            ):
-                                collapse_bad += 1
+                        collapse_bad += 1
     out.append(_check("run_collapse_invariance", collapse_bad == 0))
 
     # parity criterion on the 3-crown

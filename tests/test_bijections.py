@@ -38,7 +38,7 @@ from posetlie import (
     support_maps,
     weak_crowns,
 )
-from posetlie.bijections import _net_steps
+from posetlie.bijections import _crown_steps, _semiwalk_steps
 from posetlie.cli import _check_bound
 from posetlie.families import (
     chain,
@@ -210,6 +210,13 @@ class TestCountStats:
         walk = tuple(p.index(v) for v in ("5", "7", "6", "8", "5"))
         assert count_stats(p, theta, walk, p.index("7'")) == CountStats(0, 0, 0, 1)
 
+    def test_element_out_of_range_rejected(self):
+        # -1 would index element n-1's pairs from the end; neither is an element
+        p = chain(3)
+        for z in (-1, p.n):
+            with pytest.raises(PreconditionError, match="^z must be an element index in range"):
+                count_stats(p, identity_on(p), (0, 1, 0), z)
+
     def test_open_walk_rejected(self):
         p = chain(3)
         for stats in (count_stats, literal_count_stats):
@@ -273,12 +280,55 @@ class TestCountStats:
                         )
 
 
+def _up_to_sign(vectors):
+    """Each net step vector as the lesser of its sorted steps and theirs negated."""
+    return [
+        min(tuple(sorted(v)), tuple(sorted((b, -count) for b, count in v)))
+        for v in vectors
+    ]
+
+
+def _net_step_posets():
+    """The named families, example:20, and 40 seeded random posets, with the
+    semiwalk length bounds each is compared at."""
+    cases = [(poset, range(2, 7)) for _, poset in suite()]
+    cases.append((example20(), range(2, 6)))
+    rng = random.Random(23)
+    for _ in range(40):
+        cases.append((random_connected_poset(rng, rng.randint(4, 7)), range(2, 7)))
+    return cases
+
+
 class TestNetSteps:
     def test_cycle_basis_and_crown_vectors_match_literal(self):
-        for _, poset in suite() + (("example:20", example20()),):
-            cycles = fundamental_cycles(poset) + [c.cycle() for c in weak_crowns(poset)]
-            for cycle in cycles:
-                assert _net_steps(poset, cycle) == literal_net_steps(poset, cycle)
+        # each crown's vector is read off its lows and highs; it must be the
+        # literal vector of its cycle, and no two crowns may share one
+        for poset, _ in _net_step_posets():
+            crowns = weak_crowns(poset)
+            assert list(_crown_steps(poset)) == [literal_net_steps(poset, c.cycle()) for c in crowns]
+            canon = _up_to_sign(_crown_steps(poset))
+            assert len(set(canon)) == len(canon)
+
+    def test_semiwalk_sweep_matches_raw_listing(self):
+        # the sweep lists no walk; its vectors must be those of every raw
+        # closed semiwalk, zero vectors dropped, once each up to sign
+        for poset, bounds in _net_step_posets():
+            for bound in bounds:
+                vectors = [literal_net_steps(poset, w) for w in closed_semiwalks(poset, bound)]
+                raw = set(_up_to_sign(v for v in vectors if v))
+                swept = _up_to_sign(_semiwalk_steps(poset, bound))
+                assert len(set(swept)) == len(swept)
+                assert set(swept) == raw
+
+    def test_sweep_grows_with_its_bound(self):
+        # chain:5 has over 22 million closed semiwalks of length at most
+        # 12; the sweep keeps states, not walks, and a longer bound keeps
+        # every vector of a shorter one
+        poset = chain(5)
+        assert set(_up_to_sign(_semiwalk_steps(poset, 6))) <= set(
+            _up_to_sign(_semiwalk_steps(poset, 12))
+        )
+        assert is_admissible_oracle(poset, identity_on(poset), 12)
 
 
 class TestAdmissibility:
@@ -286,6 +336,13 @@ class TestAdmissibility:
         for _, poset in suite():
             assert is_admissible(poset, identity_on(poset))
             assert is_admissible_oracle(poset, identity_on(poset), 6)
+
+    def test_oracle_bound_checked(self):
+        p = chain(3)
+        with pytest.raises(PreconditionError, match="^semiwalk length bound must be an int$"):
+            is_admissible_oracle(p, identity_on(p), 2.5)
+        with pytest.raises(PreconditionError, match="^semiwalk length bound must be at least 2$"):
+            is_admissible_oracle(p, identity_on(p), 1)
 
     def test_example20_bijection_inadmissible(self):
         p = example20()

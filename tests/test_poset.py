@@ -321,8 +321,15 @@ class TestClosedSemiwalks:
         assert cycle in walks
 
     def test_length_one_rejected(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="^semiwalk length bound must be at least 2$"):
             closed_semiwalks(chain(2), 1)
+
+    @pytest.mark.parametrize("bound", [2.5, 4.0, "4", None])
+    def test_non_int_bound_rejected(self, bound):
+        # the listing stops where its depth equals the bound, which a
+        # float such as 2.5 never does
+        with pytest.raises(PreconditionError, match="^semiwalk length bound must be an int$"):
+            closed_semiwalks(chain(2), bound)
 
     def test_steps_join_comparable_distinct(self):
         for walk in closed_semiwalks(example6(), 4):
