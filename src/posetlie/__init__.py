@@ -23,6 +23,7 @@ from .bijections import (
     build_compatible_sigma,
     chain_action,
     count_stats,
+    count_stats_row,
     edge_map_of,
     enumerate_AM,
     enumerate_M,

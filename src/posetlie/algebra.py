@@ -481,7 +481,10 @@ def check_proper_decomposition(tau, phi):
         raise InvalidParameter("maps live over different posets or fields")
     if not is_lie_automorphism(tau):
         raise NotLieAutomorphism("tau is not a Lie automorphism")
-    if not (is_algebra_automorphism(phi) or is_negated_anti_automorphism(phi)):
+    # one rank for phi, then its products kept with and without the flip
+    if not phi.is_invertible() or not (
+        _preserves_products(phi, flip=False) or _preserves_products(-phi, flip=True)
+    ):
         raise PreconditionError(
             "phi is neither an automorphism nor the negative of an anti-automorphism"
         )

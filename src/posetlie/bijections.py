@@ -122,10 +122,14 @@ def _chain_images(poset):
     return poset.memo("chain_images", _build_chain_images)
 
 
-def _chain_table(poset, theta):
-    """_chain_images(poset), once theta is checked to permute the strict pairs."""
+def _check_permutation(poset, theta):
     if sorted(theta.perm) != list(range(len(poset.strict_pairs))):
         raise PreconditionError("bijection is not a permutation of the strict pairs")
+
+
+def _chain_table(poset, theta):
+    """_chain_images(poset), once theta is checked to permute the strict pairs."""
+    _check_permutation(poset, theta)
     return _chain_images(poset)
 
 
@@ -165,52 +169,46 @@ def in_M(poset, theta):
 
 def _build_step_table(poset):
     """The signed step table: each step (u, v) between comparable elements
-    maps to (pair index, +1 for an up-step or -1 for a down-step), and each
-    element z to the pair indices of (z, w), w > z, and of (w, z), w < z."""
+    maps to (pair index, +1 for an up-step or -1 for a down-step)."""
     steps = {}
-    ups = [[] for _ in range(poset.n)]
-    downs = [[] for _ in range(poset.n)]
     for b, (x, y) in enumerate(poset.strict_pairs):
         steps[x, y] = (b, 1)
         steps[y, x] = (b, -1)
-        ups[x].append(b)
-        downs[y].append(b)
-    return steps, ups, downs
+    return steps
 
 
 def _step_table(poset):
     return poset.memo("step_table", _build_step_table)
 
 
-def count_stats(poset, theta, walk, z):
-    """The four step counts, computed literally: a step counts toward s when
-    its pair is theta(z, w) for some w > z, toward t when it is theta(w, z)
-    for some w < z, with + for an up-step and - for a down-step."""
+def count_stats_row(poset, theta, walk):
+    """The four step counts at every element, in one pass over the walk: a
+    step counts toward s at z when its pair is theta(z, w) for some w > z,
+    toward t at z when it is theta(w, z) for some w < z, with + for an
+    up-step and - for a down-step.  The pair theta^-1(c) = (p, q) of a
+    step on c names its one such z each way: p for s and q for t."""
+    _check_permutation(poset, theta)
     if len(walk) < 2 or walk[0] != walk[-1]:
         raise PreconditionError("walk must be closed")
-    if z not in range(poset.n):
-        raise PreconditionError("z must be an element index in range(n)")
-    steps, ups, downs = _step_table(poset)
-    perm = theta.perm
-    s_hits = {perm[b] for b in ups[z]}
-    t_hits = {perm[b] for b in downs[z]}
-    s_plus = s_minus = t_plus = t_minus = 0
+    steps, pairs, inverse = _step_table(poset), poset.strict_pairs, theta.inverse().perm
+    counts = [[0, 0, 0, 0] for _ in range(poset.n)]
     for step in zip(walk, walk[1:]):
         hit = steps.get(step)
         if hit is None:
             raise PreconditionError("walk steps must join comparable elements")
         b, sign = hit
-        if b in s_hits:
-            if sign > 0:
-                s_plus += 1
-            else:
-                s_minus += 1
-        if b in t_hits:
-            if sign > 0:
-                t_plus += 1
-            else:
-                t_minus += 1
-    return CountStats(s_plus, s_minus, t_plus, t_minus)
+        p, q = pairs[inverse[b]]
+        down = sign < 0
+        counts[p][down] += 1
+        counts[q][2 + down] += 1
+    return tuple(map(CountStats._make, counts))
+
+
+def count_stats(poset, theta, walk, z):
+    """The four step counts at z: count_stats_row's entry for z."""
+    if not isinstance(z, int) or z not in range(poset.n):
+        raise PreconditionError("z must be an element index in range(n)")
+    return count_stats_row(poset, theta, walk)[z]
 
 
 def _build_crown_steps(poset):
@@ -246,7 +244,7 @@ def _sweep_semiwalks(poset, max_length):
     half, mask = 1 << width - 1, (1 << width) - 1
     zero = sum(half << width * b for b in range(size))
     moves = [[] for _ in range(poset.n)]
-    for (u, v), (b, sign) in _step_table(poset)[0].items():
+    for (u, v), (b, sign) in _step_table(poset).items():
         moves[u].append((v, sign << width * b))
     found = set()
     for s in range(poset.n):

@@ -6,6 +6,7 @@ Check results; the CLI and the test suite both run these.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import factorial
 
 from . import algebra as alg
@@ -368,13 +369,11 @@ def _parity_of_chain(poset, n, chain):
 
 
 def _stats_row(stats, poset, theta, walk):
-    """count_stats of theta on walk at every element, kept in stats (one
-    dict per theta) so that each input reaches the oracle once."""
+    """count_stats_row of theta on walk, kept in stats (one dict per theta)
+    so that each (theta, walk) reaches the oracle once."""
     row = stats.get(walk)
     if row is None:
-        row = stats[walk] = tuple(
-            bij.count_stats(poset, theta, walk, z) for z in range(poset.n)
-        )
+        row = stats[walk] = bij.count_stats_row(poset, theta, walk)
     return row
 
 
@@ -429,18 +428,12 @@ def properties_block():
         for theta in list(bij.enumerate_M(poset))[:24]:
             stats = shared.get(poset, {}).setdefault(theta, {})
             for walk, shifted, reverse in partners:
-                rows = zip(
-                    _stats_row(stats, poset, theta, walk),
-                    _stats_row(stats, poset, theta, shifted),
-                    _stats_row(stats, poset, theta, reverse),
+                base = _stats_row(stats, poset, theta, walk)
+                shift_bad += base != _stats_row(stats, poset, theta, shifted)
+                # reversal swaps each + count with its - count
+                shift_bad += _stats_row(stats, poset, theta, reverse) != tuple(
+                    (sm, sp, tm, tp) for sp, sm, tp, tm in base
                 )
-                for base, shift, rev in rows:
-                    if base != shift:
-                        shift_bad += 1
-                    if rev != bij.CountStats(
-                        base.s_minus, base.s_plus, base.t_minus, base.t_plus
-                    ):
-                        shift_bad += 1
     out.append(_check("identity_shift_reversal_invariance", shift_bad == 0))
 
     # collapsing a monotone run preserves both signed differences
@@ -455,35 +448,24 @@ def properties_block():
         for theta in bij.enumerate_M(poset):
             stats = shared.get(poset, {}).setdefault(theta, {})
             for walk, collapsed in collapses:
-                rows = zip(
-                    _stats_row(stats, poset, theta, walk),
-                    _stats_row(stats, poset, theta, collapsed),
+                full, short = (
+                    [(sp - tp, sm - tm) for sp, sm, tp, tm in _stats_row(stats, poset, theta, w)]
+                    for w in (walk, collapsed)
                 )
-                for full, short in rows:
-                    if (
-                        full.s_plus - full.t_plus != short.s_plus - short.t_plus
-                        or full.s_minus - full.t_minus != short.s_minus - short.t_minus
-                    ):
-                        collapse_bad += 1
+                collapse_bad += full != short
     out.append(_check("run_collapse_invariance", collapse_bad == 0))
 
-    # parity criterion on the 3-crown
+    # parity criterion on the 3-crown; which chains meet does not depend on theta
     poset = fam.crown(3)
-    chains = poset.maximal_chains
+    meeting = [(c1, c2) for c1, c2 in combinations(poset.maximal_chains, 2) if set(c1) & set(c2)]
     parity_bad = 0
     for theta in bij.enumerate_M(poset):
-        admissible = bij.is_admissible(poset, theta)
         action = bij.chain_action(poset, theta)
-        by_parity = True
-        for i in range(len(chains)):
-            for j in range(i + 1, len(chains)):
-                if set(chains[i]) & set(chains[j]):
-                    pi = _parity_of_chain(poset, 3, action[chains[i]][1])
-                    pj = _parity_of_chain(poset, 3, action[chains[j]][1])
-                    if pi == pj:
-                        by_parity = False
-        if admissible != by_parity:
-            parity_bad += 1
+        by_parity = all(
+            _parity_of_chain(poset, 3, action[c1][1]) != _parity_of_chain(poset, 3, action[c2][1])
+            for c1, c2 in meeting
+        )
+        parity_bad += bij.is_admissible(poset, theta) != by_parity
     out.append(_check("crown3_parity_criterion", parity_bad == 0))
     return out
 

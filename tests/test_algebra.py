@@ -457,6 +457,9 @@ class TestProperDecomposition:
         assert nu.columns == shift.columns
         for col in nu.columns:
             assert col.is_zero() or col == delta(p)
+        # tau is invertible, yet it keeps products neither way round: no phi
+        with pytest.raises(PreconditionError, match="^phi is neither an automorphism"):
+            check_proper_decomposition(tau, tau)
 
     def test_iso_vs_negated_anti_fails(self):
         p = chain(3)

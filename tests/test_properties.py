@@ -177,7 +177,7 @@ def test_fence_monotone_group_is_symmetric_group():
     assert count == 24
 
 
-# -- the properties block and its count_stats oracle -----------------------------
+# -- the properties block and its count_stats_row oracle -------------------------
 
 
 def _monotone_runs(poset, walk):
@@ -214,12 +214,12 @@ def _literal_block_inputs():
 
 
 def _properties_with(monkeypatch, fake):
-    """Run the properties block with bijections.count_stats replaced by
-    fake(real, poset, theta, walk, z); returns its checks by name."""
-    real = bijections.count_stats
+    """Run the properties block with bijections.count_stats_row replaced by
+    fake(real, poset, theta, walk); returns its checks by name."""
+    real = bijections.count_stats_row
     monkeypatch.setattr(
-        bijections, "count_stats",
-        lambda poset, theta, walk, z: fake(real, poset, theta, walk, z),
+        bijections, "count_stats_row",
+        lambda poset, theta, walk: fake(real, poset, theta, walk),
     )
     return {c.name: c.ok for c in suites.properties_block()}
 
@@ -228,23 +228,27 @@ def test_properties_block_asks_the_oracle_each_input_once(monkeypatch):
     posets = {}  # id -> (number, poset); holding the poset keeps its id unique
     calls = []
 
-    def record(real, poset, theta, walk, z):
+    def record(real, poset, theta, walk):
         number = posets.setdefault(id(poset), (len(posets), poset))[0]
-        calls.append((number, theta.perm, walk, z))
-        return real(poset, theta, walk, z)
+        calls.append((number, theta.perm, walk))
+        return real(poset, theta, walk)
 
     checks = _properties_with(monkeypatch, record)
     assert all(checks.values())
-    expected = _literal_block_inputs()
-    assert len(expected) == 32172
+    literal = _literal_block_inputs()
+    assert len(literal) == 32172
+    # one row per (poset, theta, walk) covers every z the literal loops ask
+    expected = {(number, perm, walk) for number, perm, walk, _ in literal}
+    assert len(expected) == 6656
     assert set(calls) == expected
     assert len(calls) == len(expected)
 
 
 def test_properties_block_sees_a_start_dependent_oracle(monkeypatch):
-    def by_start(real, poset, theta, walk, z):
-        stats = real(poset, theta, walk, z)
-        return stats._replace(s_plus=stats.s_plus + walk[0])
+    def by_start(real, poset, theta, walk):
+        return tuple(
+            stats._replace(s_plus=stats.s_plus + walk[0]) for stats in real(poset, theta, walk)
+        )
 
     checks = _properties_with(monkeypatch, by_start)
     assert not checks["identity_shift_reversal_invariance"]
@@ -252,25 +256,27 @@ def test_properties_block_sees_a_start_dependent_oracle(monkeypatch):
 
 
 def test_properties_block_sees_an_oracle_that_skips_a_run_step(monkeypatch):
-    def skip_middle(real, poset, theta, walk, z):
-        # the literal counts with the step leaving the middle of the walk's
-        # first monotone run left out
+    def skip_middle(real, poset, theta, walk):
+        # the literal counts at every z with the step leaving the middle of
+        # the walk's first monotone run left out
         skipped = next(_monotone_runs(poset, walk), None)
         if skipped is None:
-            return real(poset, theta, walk, z)
-        s_hits = {theta.perm[poset.pair_index[z, w]] for w in poset.above[z]}
-        t_hits = {theta.perm[poset.pair_index[w, z]] for w in poset.below[z]}
-        counts = {"s_plus": 0, "s_minus": 0, "t_plus": 0, "t_minus": 0}
-        for k, (u, v) in enumerate(zip(walk, walk[1:])):
-            if k == skipped + 1:
-                continue
-            up = poset.lt(u, v)
-            sign = "plus" if up else "minus"
-            pair = poset.pair_index[(u, v) if up else (v, u)]
-            counts["s_" + sign] += pair in s_hits
-            counts["t_" + sign] += pair in t_hits
-        return CountStats(**counts)
+            return real(poset, theta, walk)
+        row = []
+        for z in range(poset.n):
+            s_hits = {theta.perm[poset.pair_index[z, w]] for w in poset.above[z]}
+            t_hits = {theta.perm[poset.pair_index[w, z]] for w in poset.below[z]}
+            counts = {"s_plus": 0, "s_minus": 0, "t_plus": 0, "t_minus": 0}
+            for k, (u, v) in enumerate(zip(walk, walk[1:])):
+                if k == skipped + 1:
+                    continue
+                up = poset.lt(u, v)
+                sign = "plus" if up else "minus"
+                pair = poset.pair_index[(u, v) if up else (v, u)]
+                counts["s_" + sign] += pair in s_hits
+                counts["t_" + sign] += pair in t_hits
+            row.append(CountStats(**counts))
+        return tuple(row)
 
     checks = _properties_with(monkeypatch, skip_middle)
     assert not checks["run_collapse_invariance"]
-
