@@ -17,6 +17,7 @@ import enum
 import itertools
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -134,10 +135,13 @@ def _chain_table(poset, theta):
 
 
 def image_chain(poset, theta, chain):
-    """Direction of theta on a maximal chain and the chain it maps onto, or
-    (NONE, None) when theta is monotone in neither direction there."""
+    """Direction of theta on a maximal chain, any sequence of element
+    indices, and the chain it maps onto, or (NONE, None) when theta is
+    monotone in neither direction there."""
+    if not isinstance(chain, Sequence) or not all(isinstance(x, int) for x in chain):
+        raise PreconditionError("chain %r is not a sequence of element indices" % (chain,))
     try:
-        sources, images = _chain_table(poset, theta)[chain]
+        sources, images = _chain_table(poset, theta)[tuple(chain)]
     except KeyError:
         raise PreconditionError("chain %r is not maximal" % (chain,)) from None
     return images.get(tuple(theta.perm[b] for b in sources), (Direction.NONE, None))
@@ -415,26 +419,29 @@ def _build_cut_form(poset):
     Q, the projection onto the cut space of the comparability graph, has
     Q[e, f] = (d_p - d_q)^T L0^-1 (d_r - d_s) for e = (p, q), f = (r, s), with
     L0 the Laplacian grounded at element 0 and d_0 = 0.  Fraction-free
-    Gauss-Jordan elimination (Bareiss) turns [L0 | D0], D0 the incidence
-    matrix without row 0, into [det(L0)·I | X]; row e is X[p] - X[q].
+    Gauss-Jordan elimination (Bareiss) inverts L0 in place: after pivoting
+    column k, the other rows store minus their old entry there and the pivot
+    row the previous determinant, so column k then holds column k of
+    Y = adj(L0) = det(L0)·L0^-1.  With row and column 0 of Y zero,
+    det(L0)·Q[e, f] = Y[p, r] - Y[p, s] - Y[q, r] + Y[q, s]: x[u] lists
+    Y[u, r] - Y[u, s] over the pairs, and row e is x[p] - x[q].
     is_admissible asks whether theta keeps Q: AM = M ∩ Aut(Q).
     """
-    m, pairs = poset.n - 1, poset.strict_pairs
-    rows = []
-    for u in range(1, poset.n):
-        row = [0] * m + [(p == u) - (q == u) for p, q in pairs]
-        for v in poset.above[u] + poset.below[u]:
-            if v:
-                row[v - 1] = -1
-        row[u - 1] = len(poset.above[u]) + len(poset.below[u])
-        rows.append(row)
+    n, pairs = poset.n, poset.strict_pairs
+    rows = []  # L0 with a zero column 0, so that Y is indexed by element
+    for u in range(1, n):
+        near = set(poset.above[u] + poset.below[u])
+        rows.append([0] + [len(near) if v == u else -(v in near) for v in range(1, n)])
     det = 1  # L0 is positive definite, so no pivot is zero
-    for k, pivot in enumerate(rows):
+    for k, pivot in enumerate(rows, 1):
+        lead = pivot[k]
         for row in rows:
             if row is not pivot:
-                row[:] = [(pivot[k] * a - row[k] * c) // det for a, c in zip(row, pivot)]
-        det = pivot[k]
-    x = [[0] * len(pairs)] + [row[m:] for row in rows]
+                old = row[k]
+                row[:] = [(lead * a - old * c) // det for a, c in zip(row, pivot)]
+                row[k] = -old
+        det, pivot[k] = lead, det
+    x = [[a[r] - a[s] for r, s in pairs] for a in [[0] * n] + rows]
     return tuple(tuple(a - b for a, b in zip(x[p], x[q])) for p, q in pairs)
 
 

@@ -606,3 +606,48 @@ def recursive_fixed_leaf(poset, form, fixed):
     leaf = place(0)
     del place  # a self-recursive closure is a cycle: free it now
     return leaf
+
+
+def literal_cut_form(poset):
+    """det(L0)·D0^T·L0^-1·D0 as integer rows on the strict pairs, from the
+    definition: L0 is the Laplacian of the comparability graph without
+    element 0's row and column, D0 its incidence matrix (+1 at a pair's lower
+    end, -1 at its upper end) without row 0.  L0 is inverted by Gauss-Jordan
+    elimination over Fraction, and det(L0) is the product of its pivots."""
+    from fractions import Fraction
+
+    pairs, others = poset.strict_pairs, range(1, poset.n)
+    m = len(others)
+
+    def adjacent(u, v):
+        return poset.lt(u, v) or poset.lt(v, u)
+
+    rows = [
+        [Fraction(sum(adjacent(u, w) for w in range(poset.n)) if u == v else -adjacent(u, v))
+         for v in others]
+        + [Fraction(u == v) for v in others]
+        for u in others
+    ]
+    det = Fraction(1)
+    for k in range(m):
+        pivot = next(i for i in range(k, m) if rows[i][k])
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        rows[k] = [a / rows[k][k] for a in rows[k]]
+        for i in range(m):
+            if i != k and rows[i][k]:
+                rows[i] = [a - rows[i][k] * b for a, b in zip(rows[i], rows[k])]
+    inverse = [row[m:] for row in rows]
+    incidence = [[(p == u) - (q == u) for p, q in pairs] for u in others]
+    left = [
+        [sum(incidence[u][e] * inverse[u][v] for u in range(m)) for v in range(m)]
+        for e in range(len(pairs))
+    ]
+    form = []
+    for row in left:
+        scaled = [det * sum(row[v] * incidence[v][f] for v in range(m)) for f in range(len(pairs))]
+        assert all(a.denominator == 1 for a in scaled)
+        form.append(tuple(int(a) for a in scaled))
+    return tuple(form)

@@ -114,6 +114,18 @@ class TestMonotoneDirection:
         with pytest.raises(PreconditionError):
             image_chain(p, identity_on(p), (0, 1))
 
+    def test_list_chain_accepted(self):
+        p = crown(2)
+        theta = identity_on(p)
+        assert image_chain(p, theta, [0, 2]) == image_chain(p, theta, (0, 2))
+        assert image_chain(p, theta, range(0, 3, 2)) == (Direction.BOTH, (0, 2))
+
+    @pytest.mark.parametrize("chain", [5, None, {0, 2}, iter((0, 2)), "ab", [[0], [2]]])
+    def test_non_sequence_chain_rejected(self, chain):
+        p = crown(2)
+        with pytest.raises(PreconditionError, match="not a sequence of element indices"):
+            image_chain(p, identity_on(p), chain)
+
     def test_image_chain_reconstruction(self):
         p = example6()
         theta = identity_on(p)

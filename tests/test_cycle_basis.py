@@ -1,9 +1,10 @@
 """Admissibility by the cut form, against the paper's crown criterion, the
 fundamental cycles of the literal reference, and the lifetime of the
-per-poset caches."""
+per-poset caches; the cut form itself against its literal definition."""
 
 import gc
 import itertools
+import operator
 import random
 import weakref
 
@@ -25,7 +26,13 @@ from posetlie.bijections import _cut_form
 from posetlie.errors import DisconnectedError
 from posetlie.families import from_selector
 
-from helpers import fundamental_cycles, literal_net_steps, random_bipartite_poset
+from helpers import (
+    fundamental_cycles,
+    literal_cut_form,
+    literal_net_steps,
+    random_bipartite_poset,
+    random_connected_poset,
+)
 
 FAMILIES = [
     "crown:2", "crown:3", "crown:4", "kmn:2x3", "kmn:2x4", "example:6",
@@ -51,6 +58,14 @@ def three_level(rng, width=3, fan=2):
             continue
         if poset.length == 2:
             return poset
+
+
+def boolean_lattice(k):
+    """The subsets of a k-set under inclusion, as covers i < i | 1 << j."""
+    return Poset.from_relations(
+        ["s%d" % i for i in range(2**k)],
+        [(i, i | 1 << j) for i in range(2**k) for j in range(k) if not i >> j & 1],
+    )
 
 
 def assert_basis_matches_crowns(poset, thetas):
@@ -115,6 +130,64 @@ class TestBasisAgreesWithCrownCriterion:
             assert scanned == {
                 t.perm for t in thetas if satisfies_crown_criterion(poset, t)
             }
+
+
+def cut_form_cases():
+    named = [(s, from_selector(s)) for s in FAMILIES + ["example:20", "kmn:3x3"]]
+    rng = random.Random(2025)
+    connected = [
+        ("connected-%d" % i, random_connected_poset(rng, rng.randint(2, 12)))
+        for i in range(40)
+    ]
+    bipartite = []
+    for i in range(10):
+        lows, highs = rng.randint(2, 4), rng.randint(2, 5)
+        pairs = rng.randint(lows + highs - 1, lows * highs)
+        bipartite.append(("bipartite-%d" % i, random_bipartite_poset(rng, lows, highs, pairs)))
+    cases = named + [("2^4", boolean_lattice(4))] + connected + bipartite
+    return [pytest.param(poset, id=name) for name, poset in cases]
+
+
+CUT_FORM_CASES = cut_form_cases()
+
+
+def trace_scale(form, n):
+    """d = trace(F) / (n - 1): Q is a projection of rank n - 1, so a form
+    F = d·Q has trace d·(n - 1)."""
+    d, rest = divmod(sum(row[e] for e, row in enumerate(form)), n - 1)
+    assert rest == 0
+    return d
+
+
+class TestCutForm:
+    """_cut_form is F = det(L0)·Q, against D0^T·L0^-1·D0 over Fraction: a
+    symmetric form with F·F = d·F, d the number of spanning trees."""
+
+    @pytest.mark.parametrize("poset", CUT_FORM_CASES)
+    def test_matches_the_literal_form(self, poset):
+        assert _cut_form(poset) == literal_cut_form(poset)
+
+    @pytest.mark.parametrize("poset", CUT_FORM_CASES)
+    def test_symmetric_and_d_times_a_projection(self, poset):
+        form = _cut_form(poset)
+        columns = list(zip(*form))
+        assert form == tuple(columns)
+        d = trace_scale(form, poset.n)
+        assert d > 0
+        for row in form:
+            assert [sum(map(operator.mul, row, column)) for column in columns] == [
+                d * a for a in row
+            ]
+
+    @pytest.mark.parametrize(
+        "selector,trees",
+        [("crown:%d" % n, 2 * n) for n in (2, 3, 4, 7)]
+        + [("kmn:%dx%d" % (a, b), a ** (b - 1) * b ** (a - 1)) for a, b in ((1, 4), (2, 3), (3, 3), (3, 4))]
+        + [("fence:6", 1), ("star:5", 1)],
+    )
+    def test_scale_is_the_number_of_spanning_trees(self, selector, trees):
+        poset = from_selector(selector)
+        assert trace_scale(_cut_form(poset), poset.n) == trees
 
 
 def random_posets(rng, count, n=6, max_pairs=7):
