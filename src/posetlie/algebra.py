@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .errors import (
@@ -178,8 +178,7 @@ def bracket(f, g):
     return f * g - g * f
 
 
-@dataclass(frozen=True)
-class LinearMapOnIA:
+class LinearMapOnIA(NamedTuple):
     """A linear map on the incidence algebra, stored as basis-image columns."""
 
     poset: object
@@ -188,7 +187,17 @@ class LinearMapOnIA:
 
     @classmethod
     def from_images(cls, poset, images, field=RATIONALS):
-        return cls(poset, field, tuple(images))
+        """The map sending the k-th basis element of poset.all_pairs to
+        images[k]; raises InvalidParameter unless there is one image per
+        basis element, each over this poset and field."""
+        out = cls(poset, field, tuple(images))
+        if len(out.columns) != len(poset.all_pairs):
+            raise InvalidParameter(
+                "%d images for %d basis elements" % (len(out.columns), len(poset.all_pairs))
+            )
+        for col in out.columns:
+            col._check_mate(out)
+        return out
 
     @classmethod
     def identity(cls, poset, field=RATIONALS):
@@ -207,6 +216,7 @@ class LinearMapOnIA:
         return len(self.columns)
 
     def apply(self, element):
+        element._check_mate(self)
         return IncidenceElement._of(self.poset, self._image(element.coeffs), self.field)
 
     def _image(self, coeffs):
@@ -253,10 +263,8 @@ class LinearMapOnIA:
 
     @classmethod
     def from_json(cls, poset, data, field=RATIONALS):
-        columns = tuple(
-            IncidenceElement.from_json(poset, col, field) for col in data["columns"]
-        )
-        return cls(poset, field, columns)
+        columns = (IncidenceElement.from_json(poset, col, field) for col in data["columns"])
+        return cls.from_images(poset, columns, field)
 
 
 # -- subspaces ---------------------------------------------------------------

@@ -18,7 +18,6 @@ import itertools
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import PreconditionError, WellDefinednessError
@@ -45,8 +44,7 @@ class CountStats(NamedTuple):
         return self.s_plus - self.s_minus == self.t_plus - self.t_minus
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class EdgeBijection:
+class EdgeBijection(NamedTuple):
     """A permutation of the canonical strict-pair basis."""
 
     perm: tuple[int, ...]
@@ -57,6 +55,11 @@ class EdgeBijection:
 
     def compose(self, other):
         """self after other."""
+        if len(self.perm) != len(other.perm):
+            raise PreconditionError(
+                "cannot compose bijections of degrees %d and %d"
+                % (len(self.perm), len(other.perm))
+            )
         return EdgeBijection(tuple(self.perm[k] for k in other.perm))
 
     def inverse(self):

@@ -5,7 +5,7 @@ decision for a poset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bijections import (
     Direction,
@@ -18,8 +18,7 @@ from .errors import ExtractionError, PreconditionError, WellDefinednessError
 from .poset import MapKind
 
 
-@dataclass(frozen=True)
-class ChainClass:
+class ChainClass(NamedTuple):
     """A class of maximal chains under the linked relation, with its support."""
 
     chains: tuple
@@ -130,8 +129,7 @@ def induced_class_map(poset, theta):
     }
 
 
-@dataclass(frozen=True)
-class SupportMap:
+class SupportMap(NamedTuple):
     """An (anti-)isomorphism between the supports of two chain classes."""
 
     source: int
@@ -209,8 +207,7 @@ def support_maps(poset, theta):
     return results
 
 
-@dataclass(frozen=True)
-class ProperVerdict:
+class ProperVerdict(NamedTuple):
     """Outcome of comparing the admissible-monotone and proper groups."""
 
     all_proper: bool

@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import factorial, lcm
 from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 from .bijections import EdgeBijection
 from .errors import NotClosed, StructureMismatch
 
 
-@dataclass(frozen=True)
-class FiniteGroupOnEdges:
+class FiniteGroupOnEdges(NamedTuple):
     """A verified group: sorted elements, greedy generators, perm tuples."""
 
     elements: tuple
@@ -68,6 +67,7 @@ def verify_group(bijections):
     order, become generators, and _close forms about |G|*|T| products, not
     |G|^2.  Raises NotClosed; an escaping product carries its pair (a, t).
     """
+    # keyed by perm, the sort compares plain tuples on CPython's fast path
     elements = sorted(set(bijections), key=attrgetter("perm"))
     if not elements:
         raise NotClosed("empty set is not a group")

@@ -9,8 +9,8 @@ immutable after construction.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     CycleError,
@@ -30,8 +30,7 @@ class MapKind(enum.Enum):
         return (f[x], f[y]) if self is MapKind.ISO else (f[y], f[x])
 
 
-@dataclass(frozen=True)
-class PosetMap:
+class PosetMap(NamedTuple):
     """An element bijection tagged as order-isomorphism or anti-isomorphism."""
 
     perm: tuple[int, ...]
@@ -53,8 +52,7 @@ class PosetMap:
         return PosetMap(perm, kind)
 
 
-@dataclass(frozen=True)
-class WeakCrown:
+class WeakCrown(NamedTuple):
     """An alternating cycle x1 < y1 > x2 < y2 > ... > x1 of distinct elements.
 
     Stored in canonical form: lexicographically minimal (mins, maxs) pair

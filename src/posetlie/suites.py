@@ -5,9 +5,9 @@ Check results; the CLI and the test suite both run these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
+from typing import NamedTuple
 
 from . import algebra as alg
 from . import bijections as bij
@@ -20,8 +20,7 @@ from .errors import ExtractionError, NotLieAutomorphism, PreconditionError
 from .fields import RATIONALS
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

@@ -502,6 +502,46 @@ class TestSerialization:
         assert again.columns == mapped.columns
 
 
+class TestLinearMapInputs:
+    """A map is built from one column per basis element, each over the map's
+    poset and field, and applies only to elements over them."""
+
+    def test_from_images_rejects_a_missing_column(self):
+        # unchecked, the three recognizers below met it as a bare IndexError
+        p = chain(3)
+        columns = LinearMapOnIA.identity(p).columns[:-1]
+        with pytest.raises(InvalidParameter, match="^5 images for 6 basis elements$"):
+            LinearMapOnIA.from_images(p, columns)
+
+    def test_from_images_rejects_a_column_over_another_poset(self):
+        p = chain(3)
+        columns = list(LinearMapOnIA.identity(p).columns)
+        columns[0] = e(chain(2), 0, 1)
+        with pytest.raises(InvalidParameter, match="different posets or fields"):
+            LinearMapOnIA.from_images(p, columns)
+
+    def test_from_images_rejects_columns_over_another_field(self):
+        p = chain(3)
+        columns = LinearMapOnIA.identity(p, PrimeField(2)).columns
+        with pytest.raises(InvalidParameter, match="different posets or fields"):
+            LinearMapOnIA.from_images(p, columns)
+
+    def test_from_json_rejects_a_missing_column(self):
+        p = chain(3)
+        data = LinearMapOnIA.identity(p).to_json()
+        data["columns"].pop()
+        with pytest.raises(InvalidParameter, match="^5 images for 6 basis elements$"):
+            LinearMapOnIA.from_json(p, data)
+
+    def test_apply_rejects_an_element_of_another_poset(self):
+        # (0, 1) of chain:2 has the index of (1, 2) in chain:3's basis
+        # order, where it used to land unchecked
+        ident = LinearMapOnIA.identity(chain(3))
+        with pytest.raises(InvalidParameter, match="different posets or fields"):
+            ident.apply(e(chain(2), 0, 1))
+        assert ident.apply(e(chain(3), 0, 1)) == e(chain(3), 0, 1)
+
+
 def test_algebra_block_reports_a_candidate_that_is_not_lie(monkeypatch):
     # twice an induced map breaks every nonzero bracket; the block reads
     # that off check_proper_decomposition's NotLieAutomorphism and fails

@@ -181,6 +181,16 @@ class TestInM:
                     chain_action(poset, theta)
 
 
+def test_compose_rejects_a_degree_mismatch():
+    # unchecked, one order returned a perm of the shorter degree and the
+    # other raised a bare IndexError
+    long, short = EdgeBijection((0, 1, 2)), EdgeBijection((1, 0))
+    for a, b in ((long, short), (short, long)):
+        with pytest.raises(PreconditionError, match="^cannot compose bijections of degrees"):
+            a.compose(b)
+    assert long.compose(EdgeBijection((1, 2, 0))) == EdgeBijection((1, 2, 0))
+
+
 @pytest.mark.parametrize("perm", [(0, 0, 0, 0), (0, 1, 2, 3, 4), (0, 1, 2)])
 def test_operations_on_M_reject_non_permutations(perm):
     # crown:2 has |B| = 4: a repeated image, a bijection of degree 5 and one
