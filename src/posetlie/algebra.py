@@ -159,8 +159,16 @@ class IncidenceElement:
 
     @classmethod
     def from_json(cls, poset, data, field=RATIONALS):
-        coeffs = {(x, y): field.parse(s) for x, y, s in data["pairs"]}
-        return cls(poset, coeffs, field)
+        """The inverse of to_json: PreconditionError on malformed data,
+        InvalidParameter for a pair that is not comparable."""
+        elements = range(poset.n)
+        try:
+            coeffs = {(x, y): field.parse(text) for x, y, text in data["pairs"]}
+            if not all(x in elements and y in elements for x, y in coeffs):
+                raise ValueError
+            return cls(poset, coeffs, field)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError):
+            raise PreconditionError("data is not an incidence element of this poset") from None
 
     def __repr__(self):
         if not self.coeffs:
@@ -179,7 +187,10 @@ def bracket(f, g):
 
 
 class LinearMapOnIA(NamedTuple):
-    """A linear map on the incidence algebra, stored as basis-image columns."""
+    """A linear map on the incidence algebra, stored as basis-image columns.
+
+    len() is the record's field count, which NamedTuple's _make and _replace
+    rely on; the map's size is `dimension`.  map * x raises TypeError."""
 
     poset: object
     field: object
@@ -217,17 +228,13 @@ class LinearMapOnIA(NamedTuple):
 
     def apply(self, element):
         element._check_mate(self)
-        return IncidenceElement._of(self.poset, self._image(element.coeffs), self.field)
-
-    def _image(self, coeffs):
-        """The nonzero coefficients of the image of the element with these."""
         index = self.poset.all_pair_index
         zero = self.field.zero
         out = {}
-        for pair, value in coeffs.items():
+        for pair, value in element.coeffs.items():
             for key, c in self.columns[index[pair]].coeffs.items():
                 out[key] = out.get(key, zero) + value * c
-        return {k: v for k, v in out.items() if v}
+        return IncidenceElement._of(self.poset, {k: v for k, v in out.items() if v}, self.field)
 
     def compose(self, other):
         """self after other."""
@@ -252,6 +259,11 @@ class LinearMapOnIA(NamedTuple):
     def __neg__(self):
         return LinearMapOnIA(self.poset, self.field, tuple(-c for c in self.columns))
 
+    def __mul__(self, other):
+        return NotImplemented
+
+    __rmul__ = __mul__
+
     def is_invertible(self):
         return linalg.rank([c.to_vector() for c in self.columns]) == self.dimension
 
@@ -263,8 +275,13 @@ class LinearMapOnIA(NamedTuple):
 
     @classmethod
     def from_json(cls, poset, data, field=RATIONALS):
-        columns = (IncidenceElement.from_json(poset, col, field) for col in data["columns"])
-        return cls.from_images(poset, columns, field)
+        try:
+            columns = iter(data["columns"])
+        except (KeyError, TypeError):
+            raise PreconditionError("data is not a linear map's columns") from None
+        return cls.from_images(
+            poset, (IncidenceElement.from_json(poset, col, field) for col in columns), field
+        )
 
 
 # -- subspaces ---------------------------------------------------------------
@@ -297,29 +314,32 @@ def _coeffs(poset, vector):
 
 @_per_poset
 def _basis_products(poset, field):
-    """(i, j, coefficients of e_i e_j) for every pair of basis indices:
-    e_xy e_zw is e_xw when y = z and 0 otherwise."""
+    """(i, j, coefficients of e_i e_j) for every pair of basis indices whose
+    product is nonzero, in (i, j) order: e_xy e_zw is e_xw when y = z and 0
+    otherwise."""
     one = field.one
-    pairs = poset.all_pairs
+    index = poset.all_pair_index
     return tuple(
-        (i, j, {(x, w): one} if y == z else {})
-        for i, (x, y) in enumerate(pairs)
-        for j, (z, w) in enumerate(pairs)
+        (i, index[(y, w)], {(x, w): one})
+        for i, (x, y) in enumerate(poset.all_pairs)
+        for w in range(poset.n)
+        if poset.leq(y, w)
     )
 
 
 @_per_poset
 def _basis_brackets(poset, field):
     """(i, j, coefficients of [e_i, e_j]) for every pair i < j of basis
-    indices.  At most one of e_i e_j and e_j e_i is nonzero: both would
-    need e_i = e_xy and e_j = e_yx, so x = y and i = j."""
-    dim = len(poset.all_pairs)
-    product = [coeffs for _, _, coeffs in _basis_products(poset, field)]
-
-    def lie(i, j):
-        return product[i * dim + j] or {k: -v for k, v in product[j * dim + i].items()}
-
-    return tuple((i, j, lie(i, j)) for i in range(dim) for j in range(i + 1, dim))
+    indices whose bracket is nonzero, in (i, j) order.  At most one of
+    e_i e_j and e_j e_i is nonzero: both would need e_i = e_xy and
+    e_j = e_yx, so x = y and i = j."""
+    return tuple(
+        sorted(
+            (i, j, lie) if i < j else (j, i, {k: -v for k, v in lie.items()})
+            for i, j, lie in _basis_products(poset, field)
+            if i != j
+        )
+    )
 
 
 @_per_poset
@@ -449,32 +469,63 @@ def inner_map(poset, f):
 # -- recognizers ---------------------------------------------------------------
 
 
-def _preserves_products(mapping, flip):
-    columns = mapping.columns
-    for i, j, product in _basis_products(mapping.poset, mapping.field):
-        fa, fb = columns[i], columns[j]
-        if mapping._image(product) != (fb * fa if flip else fa * fb).coeffs:
-            return False
-    return True
+def _products(mapping):
+    """(P, F) for the map f with columns f(e_i), keyed by (i, j) + (x, y)
+    and holding nonzero coefficients only: P[i, j, x, y] is the coefficient
+    of e_xy in f(e_i) f(e_j), and F[i, j, x, y] that in f(e_i e_j).
+
+    P joins each column's entries ending at z with every column's entries
+    starting at z, so no zero product is formed."""
+    zero = mapping.field.zero
+    starting = {}
+    for j, col in enumerate(mapping.columns):
+        for (z, w), b in col.coeffs.items():
+            starting.setdefault(z, []).append((j, w, b))
+    sums = {}
+    for i, col in enumerate(mapping.columns):
+        for (x, z), a in col.coeffs.items():
+            for j, w, b in starting.get(z, ()):
+                key = (i, j, x, w)
+                sums[key] = sums.get(key, zero) + a * b
+    # e_i e_j = 1 * e_k, so f(e_i e_j) is column k
+    index = mapping.poset.all_pair_index
+    F = {
+        (i, j) + pair: value
+        for i, j, product in _basis_products(mapping.poset, mapping.field)
+        for k in product
+        for pair, value in mapping.columns[index[k]].coeffs.items()
+    }
+    return {k: v for k, v in sums.items() if v}, F
+
+
+def _reverses_negated(P, F):
+    """Whether -F[i, j] = P[j, i], that is -f(e_i e_j) = f(e_j) f(e_i):
+    -f reverses products."""
+    return P == {(j, i, x, y): -v for (i, j, x, y), v in F.items()}
+
+
+def _keeps_brackets(P, F, zero):
+    """Whether P - F is symmetric in (i, j), that is P[i, j] - P[j, i] =
+    F[i, j] - F[j, i]: [f(e_i), f(e_j)] = f([e_i, e_j])."""
+    difference = dict(P)
+    for key, value in F.items():
+        difference[key] = difference.get(key, zero) - value
+    return all(difference.get((j, i, x, y), zero) == v for (i, j, x, y), v in difference.items())
 
 
 def is_algebra_automorphism(mapping):
-    return mapping.is_invertible() and _preserves_products(mapping, flip=False)
+    return mapping.is_invertible() and operator.eq(*_products(mapping))
 
 
 def is_negated_anti_automorphism(mapping):
     """Whether -mapping is an anti-automorphism of the algebra."""
-    return mapping.is_invertible() and _preserves_products(-mapping, flip=True)
+    return mapping.is_invertible() and _reverses_negated(*_products(mapping))
 
 
 def is_lie_automorphism(mapping):
     """Invertible and bracket-preserving on all pairs of basis elements."""
-    if not mapping.is_invertible():
-        return False
-    columns = mapping.columns
-    return all(
-        mapping._image(lie) == bracket(columns[i], columns[j]).coeffs
-        for i, j, lie in _basis_brackets(mapping.poset, mapping.field)
+    return mapping.is_invertible() and _keeps_brackets(
+        *_products(mapping), mapping.field.zero
     )
 
 
@@ -487,12 +538,17 @@ def check_proper_decomposition(tau, phi):
     """
     if tau.poset != phi.poset or tau.field != phi.field:
         raise InvalidParameter("maps live over different posets or fields")
-    if not is_lie_automorphism(tau):
+    invertible = tau.is_invertible()
+    P, F = _products(tau)
+    proper = invertible and (P == F or _reverses_negated(P, F))
+    # an automorphism, or the negative of an anti-automorphism, keeps brackets
+    if not (proper or invertible and _keeps_brackets(P, F, tau.field.zero)):
         raise NotLieAutomorphism("tau is not a Lie automorphism")
-    # one rank for phi, then its products kept with and without the flip
-    if not phi.is_invertible() or not (
-        _preserves_products(phi, flip=False) or _preserves_products(-phi, flip=True)
-    ):
+    # a phi with tau's columns shares tau's rank and table
+    if phi.columns != tau.columns:
+        P, F = _products(phi)
+        proper = phi.is_invertible() and (P == F or _reverses_negated(P, F))
+    if not proper:
         raise PreconditionError(
             "phi is neither an automorphism nor the negative of an anti-automorphism"
         )

@@ -1,4 +1,5 @@
-"""Exact Gaussian elimination over any field with operator arithmetic."""
+"""Exact Gaussian elimination over any field with operator arithmetic; an
+update by a pivot row skips the entries where that row is zero."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ def row_reduce(rows):
         for b, p in zip(basis, pivots):
             if row[p]:
                 factor = row[p]
-                row = [rv - factor * bv for rv, bv in zip(row, b)]
+                row = [rv - factor * bv if bv else rv for rv, bv in zip(row, b)]
         pivot = next((i for i, v in enumerate(row) if v), None)
         if pivot is None:
             continue
@@ -26,7 +27,7 @@ def row_reduce(rows):
         for k, (b, p) in enumerate(zip(basis, pivots)):
             if b[pivot]:
                 factor = b[pivot]
-                basis[k] = [bv - factor * rv for bv, rv in zip(b, row)]
+                basis[k] = [bv - factor * rv if rv else bv for bv, rv in zip(b, row)]
         basis.append(row)
         pivots.append(pivot)
     order = sorted(range(len(basis)), key=lambda k: pivots[k])
@@ -39,7 +40,7 @@ def in_span(basis, pivots, vector):
     for b, p in zip(basis, pivots):
         if row[p]:
             factor = row[p]
-            row = [rv - factor * bv for rv, bv in zip(row, b)]
+            row = [rv - factor * bv if bv else rv for rv, bv in zip(row, b)]
     return not any(row)
 
 

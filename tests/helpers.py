@@ -651,3 +651,81 @@ def literal_cut_form(poset):
         assert all(a.denominator == 1 for a in scaled)
         form.append(tuple(int(a) for a in scaled))
     return tuple(form)
+
+
+def dense_row_reduce(rows):
+    """Reduced row-echelon (basis, pivots) of the span of rows, by Gauss-Jordan
+    elimination that updates every entry of a row, zero or not."""
+    basis, pivots = [], []
+    for row in rows:
+        row = list(row)
+        for b, p in zip(basis, pivots):
+            factor = row[p]
+            row = [rv - factor * bv for rv, bv in zip(row, b)]
+        pivot = next((i for i, v in enumerate(row) if v), None)
+        if pivot is None:
+            continue
+        inv = row[pivot]
+        row = [v / inv for v in row]
+        for k, b in enumerate(basis):
+            factor = b[pivot]
+            basis[k] = [bv - factor * rv for bv, rv in zip(b, row)]
+        basis.append(row)
+        pivots.append(pivot)
+    order = sorted(range(len(basis)), key=lambda k: pivots[k])
+    return [basis[k] for k in order], [pivots[k] for k in order]
+
+
+def _literal_image(columns, element):
+    """The sum of element(x, y) times the column of e_xy."""
+    from posetlie.algebra import IncidenceElement
+
+    poset = element.poset
+    out = IncidenceElement(poset, {}, element.field)
+    for pair, value in element.coeffs.items():
+        out = out + columns[poset.all_pairs.index(pair)].scale(value)
+    return out
+
+
+def literal_recognizers(mapping):
+    """(Lie, automorphism, negated anti-automorphism) for a linear map f on
+    the incidence algebra, from the definitions: f is invertible, and for
+    every ordered pair (a, b) of basis elements, convolved as
+    IncidenceElements, f([a, b]) = [f(a), f(b)], f(ab) = f(a) f(b) and
+    -f(ab) = f(b) f(a) respectively."""
+    from posetlie.algebra import IncidenceElement
+
+    poset, field = mapping.poset, mapping.field
+    basis = [IncidenceElement.basis(poset, x, y, field) for x, y in poset.all_pairs]
+    if len(dense_row_reduce([c.to_vector() for c in mapping.columns])[0]) < len(basis):
+        return False, False, False
+    lie = auto = anti = True
+    for a in basis:
+        for b in basis:
+            fa, fb = _literal_image(mapping.columns, a), _literal_image(mapping.columns, b)
+            fab = _literal_image(mapping.columns, a * b)
+            lie = lie and _literal_image(mapping.columns, a * b - b * a) == fa * fb - fb * fa
+            auto = auto and fab == fa * fb
+            anti = anti and -fab == fb * fa
+    return lie, auto, anti
+
+
+def literal_decomposition_error(tau, phi):
+    """The error class check_proper_decomposition(tau, phi) must raise, or
+    None: NotLieAutomorphism unless tau is Lie, PreconditionError unless phi
+    is an automorphism or a negated anti-automorphism, NotProperWitness
+    unless every image of nu = tau - phi commutes with every basis element
+    and nu kills every bracket of two basis elements."""
+    from posetlie import NotLieAutomorphism, NotProperWitness, PreconditionError
+    from posetlie.algebra import IncidenceElement
+
+    if not literal_recognizers(tau)[0]:
+        return NotLieAutomorphism
+    if not any(literal_recognizers(phi)[1:]):
+        return PreconditionError
+    poset, field = tau.poset, tau.field
+    basis = [IncidenceElement.basis(poset, x, y, field) for x, y in poset.all_pairs]
+    nu = [t - p for t, p in zip(tau.columns, phi.columns)]
+    central = all((z * b - b * z).is_zero() for z in nu for b in basis)
+    kills = all(_literal_image(nu, a * b - b * a).is_zero() for a in basis for b in basis)
+    return None if central and kills else NotProperWitness

@@ -32,14 +32,21 @@ from posetlie import (
 from posetlie.algebra import is_algebra_automorphism, is_negated_anti_automorphism
 from posetlie.fields import RATIONALS, PrimeField
 from posetlie import linalg
-from posetlie.families import chain, crown, example6, kmn, suite
+from posetlie.families import chain, crown, example6, example20, kmn, suite
 
 from helpers import (
     convolution_brackets,
     convolution_center,
     convolution_products,
+    dense_row_reduce,
     literal_convolution,
+    literal_decomposition_error,
+    literal_recognizers,
     random_element,
+)
+
+FIELDS = pytest.mark.parametrize(
+    "field", [RATIONALS, PrimeField(3), PrimeField(2)], ids=["q", "fp3", "fp2"]
 )
 
 
@@ -236,15 +243,20 @@ class TestSubspaces:
 
 @pytest.mark.parametrize("field", [RATIONALS, PrimeField(3)], ids=["q", "fp3"])
 def test_structure_constants_match_convolution(field):
-    # the closed-form tables, e_xy e_zw = [y = z] e_xw and the brackets read
-    # off it, and the center taken from those brackets, against the tables
-    # built by convolving basis elements, on the suite (example:6 included)
+    # the closed-form tables, e_xy e_yw = e_xw and the brackets read off it,
+    # are the nonzero entries of the tables built by convolving basis
+    # elements, in the same (i, j) order, so every (i, j) they omit is zero
+    # there; the center taken from those brackets is the convolved one. On
+    # the suite (example:6 included)
     from posetlie import algebra
 
     assert "example:6" in dict(suite())
     for name, poset in suite():
-        assert algebra._basis_products(poset, field) == convolution_products(poset, field), name
-        assert algebra._basis_brackets(poset, field) == convolution_brackets(poset, field), name
+        for sparse, dense in (
+            (algebra._basis_products(poset, field), convolution_products(poset, field)),
+            (algebra._basis_brackets(poset, field), convolution_brackets(poset, field)),
+        ):
+            assert sparse == tuple(entry for entry in dense if entry[2]), name
         assert algebra._center_cached(poset, field) == convolution_center(poset, field), name
 
 
@@ -481,6 +493,114 @@ class TestProperDecomposition:
         assert not isinstance(bad_phi.value, NotLieAutomorphism)
 
 
+def _seeded_maps(poset, field, rng):
+    """Per sampled poset map: (base, -base, base + a central shift, base with
+    one column perturbed, base with its columns shuffled, base after an inner
+    automorphism), where base is the induced map, negated for an
+    anti-isomorphism.  The inner automorphism's column products cancel."""
+    out = []
+    one = IncidenceElement.delta(poset, field)
+    for lam in rng.sample(poset_maps(poset), min(3, len(poset_maps(poset)))):
+        base = induced_map(poset, lam, field)
+        base = base if lam.kind == MapKind.ISO else -base
+        unipotent = one + IncidenceElement(
+            poset, {pair: field.parse(str(rng.randint(-2, 2))) for pair in poset.strict_pairs}, field
+        )
+        shift = [
+            one.scale(field.parse(str(rng.randint(0, 2)) if x == y else "0"))
+            for x, y in poset.all_pairs
+        ]
+        perturbed = list(base.columns)
+        k = rng.randrange(len(perturbed))
+        perturbed[k] = perturbed[k] + IncidenceElement(
+            poset, {rng.choice(poset.all_pairs): field.parse(str(rng.randint(1, 3)))}, field
+        )
+        shuffled = rng.sample(base.columns, len(base.columns))
+        out.append(
+            (base, -base, base + LinearMapOnIA.from_images(poset, shift, field))
+            + tuple(LinearMapOnIA.from_images(poset, c, field) for c in (perturbed, shuffled))
+            + (base.compose(inner_map(poset, unipotent)),)
+        )
+    return out
+
+
+@FIELDS
+def test_recognizers_match_the_literal_definitions(field):
+    # the sparse product tables against convolving every ordered pair of
+    # basis elements, on seeded maps of the suite posets; each verdict
+    # pattern below occurs
+    rng = random.Random(27)
+    seen = set()
+    for name, poset in suite():
+        for maps in _seeded_maps(poset, field, rng):
+            for mapping in maps:
+                verdict = (
+                    is_lie_automorphism(mapping),
+                    is_algebra_automorphism(mapping),
+                    is_negated_anti_automorphism(mapping),
+                )
+                assert verdict == literal_recognizers(mapping), name
+                seen.add(verdict)
+    assert {(True, True, False), (True, False, True), (False, False, False)} <= seen
+
+
+@FIELDS
+def test_decomposition_matches_the_literal_definitions(field):
+    # phi != tau: a central shift of phi (nu is the shift), two different
+    # proper maps (nu is not central), a shuffled tau (not Lie) and a
+    # perturbed phi (no automorphism either way)
+    rng = random.Random(28)
+    seen = set()
+    for name, poset in suite():
+        maps = _seeded_maps(poset, field, rng)
+        # (tau, phi) as (shifted, base), (shuffled, base), (base, perturbed)
+        # and (base, the next poset map's base)
+        pairs = [(m[2], m[0]) for m in maps] + [(m[4], m[0]) for m in maps]
+        pairs += [(m[0], m[3]) for m in maps] + [(a[0], b[0]) for a, b in zip(maps, maps[1:])]
+        for tau, phi in pairs:
+            want = literal_decomposition_error(tau, phi)
+            seen.add(want)
+            if want is None:
+                assert check_proper_decomposition(tau, phi) == tau - phi, name
+                continue
+            with pytest.raises(want) as caught:
+                check_proper_decomposition(tau, phi)
+            assert type(caught.value) is want, name
+    assert seen == {None, NotLieAutomorphism, PreconditionError, NotProperWitness}
+
+
+@FIELDS
+def test_example20_induced_maps_decompose_with_no_remainder(field):
+    # the frontier: dimension 80, each of the 64 (anti-)automorphisms
+    poset = example20()
+    maps = poset_maps(poset)
+    assert (len(maps), len(poset.all_pairs)) == (64, 80)
+    for lam in maps:
+        candidate = induced_map(poset, lam, field)
+        candidate = candidate if lam.kind == MapKind.ISO else -candidate
+        nu = check_proper_decomposition(candidate, candidate)
+        assert all(col.is_zero() for col in nu.columns)
+
+
+@FIELDS
+def test_row_reduce_matches_dense_elimination(field):
+    # updates skip the entries where the pivot row is zero; the basis, the
+    # pivots and every span verdict are those of the dense elimination
+    rng = random.Random(30)
+    for _ in range(80):
+        ncols = rng.randint(1, 8)
+
+        def vector():
+            return [field.parse(str(rng.choice((0, 0, 0, 1, -1, 2)))) for _ in range(ncols)]
+
+        rows = [vector() for _ in range(rng.randint(1, 8))]
+        basis, pivots = linalg.row_reduce(rows)
+        assert (basis, pivots) == dense_row_reduce(rows)
+        for v in rows + [vector() for _ in range(4)]:
+            inside = len(dense_row_reduce(basis + [v])[0]) == len(basis)
+            assert linalg.in_span(basis, pivots, v) == inside
+
+
 class TestSerialization:
     def test_element_round_trip(self):
         rng = random.Random(41)
@@ -532,6 +652,41 @@ class TestLinearMapInputs:
         data["columns"].pop()
         with pytest.raises(InvalidParameter, match="^5 images for 6 basis elements$"):
             LinearMapOnIA.from_json(p, data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {},
+            {"pairs": [[0, 7, "1/1"]]},
+            {"pairs": [[0, 1]]},
+            {"pairs": [[0, 1, "x"]]},
+            {"pairs": [[0, -1, "1/1"]]},
+            {"pairs": [[1.0, 2, "1/1"]]},
+        ],
+        ids=[
+            "no-pairs", "element-out-of-range", "two-fields", "value-not-a-scalar",
+            "negative-element", "float-element",
+        ],
+    )
+    def test_from_json_rejects_malformed_data(self, data):
+        # these used to escape as bare KeyError, IndexError, ValueError and
+        # TypeError, except element -1, which was read as element 2 and kept
+        # as a pair (0, -1)
+        p = chain(3)
+        with pytest.raises(PreconditionError, match="^data is not an incidence element"):
+            IncidenceElement.from_json(p, data)
+        mapped = LinearMapOnIA.identity(p).to_json()
+        mapped["columns"][0] = data
+        with pytest.raises(PreconditionError, match="^data is not an incidence element"):
+            LinearMapOnIA.from_json(p, mapped)
+
+    def test_from_json_keeps_invalid_parameter_for_a_pair_not_comparable(self):
+        with pytest.raises(InvalidParameter, match="not comparable"):
+            IncidenceElement.from_json(chain(3), {"pairs": [[2, 0, "1/1"]]})
+
+    def test_map_from_json_rejects_data_without_columns(self):
+        with pytest.raises(PreconditionError, match="^data is not a linear map's columns$"):
+            LinearMapOnIA.from_json(chain(3), {})
 
     def test_apply_rejects_an_element_of_another_poset(self):
         # (0, 1) of chain:2 has the index of (1, 2) in chain:3's basis

@@ -118,3 +118,13 @@ def test_edge_bijections_sort_as_their_perms():
     assert sorted(map(EdgeBijection, perms)) == list(map(EdgeBijection, sorted(perms)))
     assert min(map(EdgeBijection, perms)).perm == min(perms)
     assert max(map(EdgeBijection, perms)).perm == max(perms)
+
+
+def test_linear_maps_refuse_tuple_repetition():
+    # len() stays the NamedTuple field count (_make and _replace use it);
+    # a map's size is its dimension
+    ident = LinearMapOnIA.identity(chain(3))
+    for product in (lambda: ident * 2, lambda: 2 * ident, lambda: ident * ident):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            product()
+    assert (len(ident), ident.dimension) == (3, 6)
