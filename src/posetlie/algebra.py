@@ -147,7 +147,9 @@ class IncidenceElement:
         )
 
     def to_vector(self):
-        return _vector(self.poset, self.coeffs, self.field)
+        """Dense coefficients over the sorted basis of comparable pairs."""
+        zero = self.field.zero
+        return [self.coeffs.get(pair, zero) for pair in self.poset.all_pairs]
 
     def to_json(self):
         return {
@@ -265,7 +267,7 @@ class LinearMapOnIA(NamedTuple):
     __rmul__ = __mul__
 
     def is_invertible(self):
-        return linalg.rank([c.to_vector() for c in self.columns]) == self.dimension
+        return linalg.rank([c.coeffs for c in self.columns]) == self.dimension
 
     def to_json(self):
         return {
@@ -302,16 +304,6 @@ def _per_poset(build):
     return cached
 
 
-def _vector(poset, coeffs, field):
-    """Dense coefficients over the sorted basis of comparable pairs."""
-    zero = field.zero
-    return [coeffs.get(pair, zero) for pair in poset.all_pairs]
-
-
-def _coeffs(poset, vector):
-    return {pair: v for pair, v in zip(poset.all_pairs, vector) if v}
-
-
 @_per_poset
 def _basis_products(poset, field):
     """(i, j, coefficients of e_i e_j) for every pair of basis indices whose
@@ -344,9 +336,8 @@ def _basis_brackets(poset, field):
 
 @_per_poset
 def _commutator_subspace_cached(poset, field):
-    rows = [_vector(poset, lie, field) for _, _, lie in _basis_brackets(poset, field) if lie]
-    basis, _ = linalg.row_reduce(rows)
-    return tuple(_coeffs(poset, row) for row in basis)
+    basis, _ = linalg.row_reduce(lie for _, _, lie in _basis_brackets(poset, field))
+    return tuple(basis)
 
 
 def commutator_subspace(poset, field=RATIONALS):
@@ -360,17 +351,14 @@ def commutator_subspace(poset, field=RATIONALS):
 @_per_poset
 def _center_cached(poset, field):
     # unknown z = sum z_i e_i; constraints: [z, e_j] = 0 for every j, one row
-    # per (j, pair) that some [e_i, e_j] reaches
-    dim = len(poset.all_pairs)
-    index = poset.all_pair_index
-    zero = field.zero
+    # per (j, pair) that some [e_i, e_j] reaches, over the columns z_i
+    pairs = poset.all_pairs
     rows = {}
     for i, j, lie in _basis_brackets(poset, field):
         for pair, value in lie.items():  # and [e_j, e_i] = -[e_i, e_j]
-            rows.setdefault((j, index[pair]), [zero] * dim)[i] = value
-            rows.setdefault((i, index[pair]), [zero] * dim)[j] = -value
-    sols = linalg.nullspace(list(rows.values()), dim, field.one)
-    return tuple(_coeffs(poset, v) for v in sols)
+            rows.setdefault((j, pair), {})[pairs[i]] = value
+            rows.setdefault((i, pair), {})[pairs[j]] = -value
+    return tuple(linalg.nullspace(rows.values(), pairs, field.one))
 
 
 def center(poset, field=RATIONALS):
@@ -556,7 +544,7 @@ def check_proper_decomposition(tau, phi):
     nu = tau - phi
     center_basis, center_pivots = _center_span(poset, field)
     for pair, col in zip(poset.all_pairs, nu.columns):
-        if not linalg.in_span(center_basis, center_pivots, col.to_vector()):
+        if not linalg.in_span(center_basis, center_pivots, col.coeffs):
             raise NotProperWitness(
                 "remainder image at e[%s,%s] is not central"
                 % (poset.names[pair[0]], poset.names[pair[1]])
@@ -569,6 +557,4 @@ def check_proper_decomposition(tau, phi):
 
 @_per_poset
 def _center_span(poset, field):
-    vectors = [_vector(poset, z, field) for z in _center_cached(poset, field)]
-    basis, pivots = linalg.row_reduce(vectors)
-    return basis, pivots
+    return linalg.row_reduce(_center_cached(poset, field))

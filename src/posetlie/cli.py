@@ -216,7 +216,8 @@ def cmd_decide(args):
 
 
 def cmd_verify(args):
-    results = suites.run_suite(args.suite, field=parse_field_spec(args.field))
+    field = parse_field_spec(args.field)
+    results = suites.run_suite(args.suite, field=field)
     failed = [c for c in results if not c.ok]
     if args.format == "json":
         print(
@@ -228,6 +229,7 @@ def cmd_verify(args):
                     ],
                     "passed": len(results) - len(failed),
                     "failed": len(failed),
+                    "field": field.name,
                 }
             )
         )
@@ -237,6 +239,7 @@ def cmd_verify(args):
             if c.detail:
                 line += " (%s)" % c.detail
             print(line)
+        print("field: %s" % field.name)
         print("%d passed, %d failed" % (len(results) - len(failed), len(failed)))
     return 1 if failed else 0
 

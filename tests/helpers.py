@@ -160,8 +160,7 @@ def convolution_brackets(poset, field):
 def convolution_center(poset, field):
     """A basis of the center, as coefficient dicts: the null space of the
     rows [z, e_j] = 0, with every bracket of basis elements formed by
-    convolution as a dense vector."""
-    from posetlie import linalg
+    convolution as a dense vector, and solved by dense_nullspace."""
     from posetlie.algebra import IncidenceElement, bracket
 
     elements = [IncidenceElement.basis(poset, x, y, field) for x, y in poset.all_pairs]
@@ -175,7 +174,7 @@ def convolution_center(poset, field):
                 rows.append(row)
     return tuple(
         {pair: v for pair, v in zip(poset.all_pairs, vector) if v}
-        for vector in linalg.nullspace(rows, dim, field.one)
+        for vector in dense_nullspace(rows, dim, field.one)
     )
 
 
@@ -674,6 +673,23 @@ def dense_row_reduce(rows):
         pivots.append(pivot)
     order = sorted(range(len(basis)), key=lambda k: pivots[k])
     return [basis[k] for k in order], [pivots[k] for k in order]
+
+
+def dense_nullspace(rows, ncols, one):
+    """A basis of {x : A x = 0} for the dense matrix with the given rows, one
+    vector per free column in column order: x is one at its free column,
+    zero at the others, and minus that column's entry of the pivot's row
+    of dense_row_reduce at each pivot."""
+    basis, pivots = dense_row_reduce(rows)
+    zero = one - one
+    out = []
+    for free in range(ncols):
+        if free not in pivots:
+            x = [one if c == free else zero for c in range(ncols)]
+            for b, p in zip(basis, pivots):
+                x[p] = -b[free]
+            out.append(x)
+    return out
 
 
 def _literal_image(columns, element):

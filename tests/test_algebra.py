@@ -217,20 +217,18 @@ class TestSubspaces:
             if poset.n > 6:
                 continue
             basis = commutator_subspace(poset)
-            strict = [
-                e(poset, x, y).to_vector() for x, y in poset.strict_pairs
-            ]
-            rows, pivots = linalg.row_reduce([b.to_vector() for b in basis])
+            strict = [e(poset, x, y).coeffs for x, y in poset.strict_pairs]
+            rows, pivots = linalg.row_reduce([b.coeffs for b in basis])
             srows, spivots = linalg.row_reduce(strict)
             assert len(basis) == len(poset.strict_pairs)
-            assert all(linalg.in_span(srows, spivots, b.to_vector()) for b in basis)
+            assert all(linalg.in_span(srows, spivots, b.coeffs) for b in basis)
             assert all(linalg.in_span(rows, pivots, v) for v in strict)
 
     def test_center_is_delta_span(self):
         for poset in (chain(2), crown(2), example6(), kmn(2, 3)):
             basis = center(poset)
             assert len(basis) == 1
-            assert linalg.rank([basis[0].to_vector(), delta(poset).to_vector()]) == 1
+            assert linalg.rank([basis[0].coeffs, delta(poset).coeffs]) == 1
 
     def test_center_elements_commute(self):
         rng = random.Random(29)
@@ -524,31 +522,55 @@ def _seeded_maps(poset, field, rng):
     return out
 
 
+def _singular_maps(base):
+    """base with its first column zero, with its last column equal to its
+    first, and with its last column the sum of its first two: none is
+    invertible, given at least three columns."""
+    poset, field, cols = base.poset, base.field, list(base.columns)
+    variants = (
+        [IncidenceElement(poset, {}, field)] + cols[1:],
+        cols[:-1] + cols[:1],
+        cols[:-1] + [cols[0] + cols[1]],
+    )
+    return tuple(LinearMapOnIA.from_images(poset, c, field) for c in variants)
+
+
+def _dense_rank(mapping):
+    return len(dense_row_reduce([c.to_vector() for c in mapping.columns])[0])
+
+
 @FIELDS
 def test_recognizers_match_the_literal_definitions(field):
     # the sparse product tables against convolving every ordered pair of
-    # basis elements, on seeded maps of the suite posets; each verdict
-    # pattern below occurs
+    # basis elements, on seeded maps of the suite posets and on singular
+    # variants of them; each verdict pattern below occurs, and invertibility
+    # is the dense rank's verdict
     rng = random.Random(27)
     seen = set()
     for name, poset in suite():
         for maps in _seeded_maps(poset, field, rng):
-            for mapping in maps:
+            singular = _singular_maps(maps[0])
+            for mapping in maps + singular:
                 verdict = (
                     is_lie_automorphism(mapping),
                     is_algebra_automorphism(mapping),
                     is_negated_anti_automorphism(mapping),
                 )
                 assert verdict == literal_recognizers(mapping), name
+                assert mapping.is_invertible() == (_dense_rank(mapping) == mapping.dimension)
                 seen.add(verdict)
+            for mapping in singular:
+                # singular by the dense rank, so no verdict holds
+                assert _dense_rank(mapping) < mapping.dimension, name
+                assert not any(literal_recognizers(mapping)), name
     assert {(True, True, False), (True, False, True), (False, False, False)} <= seen
 
 
 @FIELDS
 def test_decomposition_matches_the_literal_definitions(field):
     # phi != tau: a central shift of phi (nu is the shift), two different
-    # proper maps (nu is not central), a shuffled tau (not Lie) and a
-    # perturbed phi (no automorphism either way)
+    # proper maps (nu is not central), a shuffled tau (not Lie), a perturbed
+    # phi (no automorphism either way), and a singular tau or phi
     rng = random.Random(28)
     seen = set()
     for name, poset in suite():
@@ -557,8 +579,14 @@ def test_decomposition_matches_the_literal_definitions(field):
         # and (base, the next poset map's base)
         pairs = [(m[2], m[0]) for m in maps] + [(m[4], m[0]) for m in maps]
         pairs += [(m[0], m[3]) for m in maps] + [(a[0], b[0]) for a, b in zip(maps, maps[1:])]
-        for tau, phi in pairs:
+        # and (singular, base), (base, singular)
+        singular = [(s, m[0]) for m in maps for s in _singular_maps(m[0])]
+        for tau, phi in pairs + singular + [(phi, tau) for tau, phi in singular]:
             want = literal_decomposition_error(tau, phi)
+            if (tau, phi) in singular:
+                assert want is NotLieAutomorphism, name
+            elif (phi, tau) in singular:
+                assert want is PreconditionError, name
             seen.add(want)
             if want is None:
                 assert check_proper_decomposition(tau, phi) == tau - phi, name
@@ -584,21 +612,48 @@ def test_example20_induced_maps_decompose_with_no_remainder(field):
 
 @FIELDS
 def test_row_reduce_matches_dense_elimination(field):
-    # updates skip the entries where the pivot row is zero; the basis, the
-    # pivots and every span verdict are those of the dense elimination
+    # sparse rows over int or pair column keys, ordered as their dense
+    # columns, some with explicit zeros: densified, the basis, the pivots,
+    # every span verdict and the rank are those of the dense elimination,
+    # and the null space is ncols - rank independent vectors x with A x = 0
     rng = random.Random(30)
-    for _ in range(80):
-        ncols = rng.randint(1, 8)
+    zero = field.zero
+    explicit_zeros = 0
+    for key in (int, lambda c: divmod(c, 3)):
+        for _ in range(80):
+            ncols = rng.randint(1, 8)
+            columns = [key(c) for c in range(ncols)]
 
-        def vector():
-            return [field.parse(str(rng.choice((0, 0, 0, 1, -1, 2)))) for _ in range(ncols)]
+            def vector():
+                return [field.parse(str(rng.choice((0, 0, 0, 1, -1, 2)))) for _ in range(ncols)]
 
-        rows = [vector() for _ in range(rng.randint(1, 8))]
-        basis, pivots = linalg.row_reduce(rows)
-        assert (basis, pivots) == dense_row_reduce(rows)
-        for v in rows + [vector() for _ in range(4)]:
-            inside = len(dense_row_reduce(basis + [v])[0]) == len(basis)
-            assert linalg.in_span(basis, pivots, v) == inside
+            def sparse(dense):
+                return {c: v for c, v in zip(columns, dense) if v or rng.random() < 0.3}
+
+            def densify(row):
+                return [row.get(c, zero) for c in columns]
+
+            rows = [vector() for _ in range(rng.randint(1, 8))]
+            sparse_rows = [sparse(row) for row in rows]
+            explicit_zeros += sum(not v for row in sparse_rows for v in row.values())
+            copies = [dict(row) for row in sparse_rows]
+            basis, pivots = linalg.row_reduce(sparse_rows)
+            assert sparse_rows == copies
+            want, want_pivots = dense_row_reduce(rows)
+            assert [densify(b) for b in basis] == want
+            assert pivots == [columns[p] for p in want_pivots]
+            assert all(all(b.values()) for b in basis)
+            assert linalg.rank(sparse_rows) == len(want)
+            for v in rows + [vector() for _ in range(4)]:
+                inside = len(dense_row_reduce(want + [v])[0]) == len(want)
+                assert linalg.in_span(basis, pivots, sparse(v)) == inside
+            kernel = [densify(x) for x in linalg.nullspace(sparse_rows, columns, field.one)]
+            assert len(kernel) == ncols - len(want)
+            assert len(dense_row_reduce(kernel)[0]) == len(kernel)
+            for row in rows:
+                for x in kernel:
+                    assert sum((a * b for a, b in zip(row, x)), zero) == zero
+    assert explicit_zeros
 
 
 class TestSerialization:

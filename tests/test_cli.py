@@ -214,6 +214,21 @@ def test_verify_all_green(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("spec", ["q", "fp:3"])
+def test_verify_reports_its_field(capsys, spec):
+    # a saved report says which field it checked, in JSON and in text
+    code, out = run(capsys, "verify", "algebra", "--field", spec, "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["field"] == spec
+    assert sorted(data) == ["checks", "failed", "field", "passed"]
+    code, out = run(capsys, "verify", "algebra", "--field", spec)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-2:] == ["field: %s" % spec, "%d passed, 0 failed" % data["passed"]]
+    assert all(line.startswith("PASS ") for line in lines[:-2])
+
+
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "nonsense"]) == 2
 

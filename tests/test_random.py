@@ -46,7 +46,7 @@ def test_algebra_subspaces(poset):
     centre = center(poset)
     assert len(centre) == 1
     delta = IncidenceElement.delta(poset)
-    assert linalg.rank([centre[0].to_vector(), delta.to_vector()]) == 1
+    assert linalg.rank([centre[0].coeffs, delta.coeffs]) == 1
 
 
 @pytest.mark.parametrize(
