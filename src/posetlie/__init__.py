@@ -24,6 +24,7 @@ from .bijections import (
     chain_action,
     count_stats,
     count_stats_row,
+    count_stats_rows,
     edge_map_of,
     enumerate_AM,
     enumerate_M,

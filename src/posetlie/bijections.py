@@ -14,6 +14,7 @@ order so runs are reproducible.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import operator
@@ -42,6 +43,9 @@ class CountStats(NamedTuple):
 
     def balanced(self):
         return self.s_plus - self.s_minus == self.t_plus - self.t_minus
+
+
+_count_stats = functools.partial(tuple.__new__, CountStats)  # _make, without a Python call
 
 
 class EdgeBijection(NamedTuple):
@@ -126,15 +130,26 @@ def _chain_images(poset):
     return poset.memo("chain_images", _build_chain_images)
 
 
+def _build_chain_gather(poset):
+    """The chain-image table laid out for chain_action: the maximal chains,
+    their image dicts, each chain's slice of one flat tuple of source pairs,
+    and that tuple."""
+    table = _chain_images(poset)
+    flat, spans = [], []
+    for sources, _ in table.values():
+        spans.append(slice(len(flat), len(flat) + len(sources)))
+        flat.extend(sources)
+    return tuple(table), [images for _, images in table.values()], spans, tuple(flat)
+
+
+def _permutes_pairs(poset, theta):
+    """Whether theta's perm is a permutation of the strict-pair indices."""
+    return sorted(theta.perm) == list(range(len(poset.strict_pairs)))
+
+
 def _check_permutation(poset, theta):
-    if sorted(theta.perm) != list(range(len(poset.strict_pairs))):
+    if not _permutes_pairs(poset, theta):
         raise PreconditionError("bijection is not a permutation of the strict pairs")
-
-
-def _chain_table(poset, theta):
-    """_chain_images(poset), once theta is checked to permute the strict pairs."""
-    _check_permutation(poset, theta)
-    return _chain_images(poset)
 
 
 def image_chain(poset, theta, chain):
@@ -143,8 +158,9 @@ def image_chain(poset, theta, chain):
     monotone in neither direction there."""
     if not isinstance(chain, Sequence) or not all(isinstance(x, int) for x in chain):
         raise PreconditionError("chain %r is not a sequence of element indices" % (chain,))
+    _check_permutation(poset, theta)
     try:
-        sources, images = _chain_table(poset, theta)[tuple(chain)]
+        sources, images = _chain_images(poset)[tuple(chain)]
     except KeyError:
         raise PreconditionError("chain %r is not maximal" % (chain,)) from None
     return images.get(tuple(theta.perm[b] for b in sources), (Direction.NONE, None))
@@ -152,15 +168,16 @@ def image_chain(poset, theta, chain):
 
 def chain_action(poset, theta):
     """Theta's (direction, image chain) on every maximal chain, keyed by
-    chain; raises PreconditionError when theta is not in M."""
-    perm = theta.perm
-    action = {}
-    for chain, (sources, images) in _chain_table(poset, theta).items():
-        hit = images.get(tuple(perm[b] for b in sources))
-        if hit is None:
-            raise PreconditionError("bijection is not monotone on maximal chains")
-        action[chain] = hit
-    return action
+    chain; raises PreconditionError when theta is not in M.  Theta's images
+    of every chain's source pairs are gathered in one pass, and each chain
+    looks its slice of them up in its image dict."""
+    _check_permutation(poset, theta)
+    chains, tables, spans, flat = poset.memo("chain_gather", _build_chain_gather)
+    gathered = tuple(map(theta.perm.__getitem__, flat))
+    try:
+        return dict(zip(chains, map(dict.__getitem__, tables, map(gathered.__getitem__, spans))))
+    except KeyError:
+        raise PreconditionError("bijection is not monotone on maximal chains") from None
 
 
 def in_M(poset, theta):
@@ -188,27 +205,42 @@ def _step_table(poset):
     return poset.memo("step_table", _build_step_table)
 
 
-def count_stats_row(poset, theta, walk):
-    """The four step counts at every element, in one pass over the walk: a
-    step counts toward s at z when its pair is theta(z, w) for some w > z,
-    toward t at z when it is theta(w, z) for some w < z, with + for an
-    up-step and - for a down-step.  The pair theta^-1(c) = (p, q) of a
-    step on c names its one such z each way: p for s and q for t."""
+def count_stats_rows(poset, theta, walks):
+    """The four step counts at every element, one row per walk: a step
+    counts toward s at z when its pair is theta(z, w) for some w > z, toward
+    t at z when it is theta(w, z) for some w < z, with + for an up-step and
+    - for a down-step.  The pair theta^-1(c) = (p, q) of a step on c names
+    its one such z each way: p for s and q for t.  Theta is checked and
+    inverted once, into a table from each step to the slots of those two
+    counts among four per element, and each walk is one pass over it."""
     _check_permutation(poset, theta)
-    if len(walk) < 2 or walk[0] != walk[-1]:
-        raise PreconditionError("walk must be closed")
-    steps, pairs, inverse = _step_table(poset), poset.strict_pairs, theta.inverse().perm
-    counts = [[0, 0, 0, 0] for _ in range(poset.n)]
-    for step in zip(walk, walk[1:]):
-        hit = steps.get(step)
-        if hit is None:
-            raise PreconditionError("walk steps must join comparable elements")
-        b, sign = hit
-        p, q = pairs[inverse[b]]
+    preimage = [poset.strict_pairs[b] for b in theta.inverse().perm]
+    steps = {}
+    for step, (b, sign) in _step_table(poset).items():
+        p, q = preimage[b]
         down = sign < 0
-        counts[p][down] += 1
-        counts[q][2 + down] += 1
-    return tuple(map(CountStats._make, counts))
+        steps[step] = (4 * p + down, 4 * q + 2 + down)
+    rows = []
+    for walk in walks:
+        if len(walk) < 2 or walk[0] != walk[-1]:
+            raise PreconditionError("walk must be closed")
+        counts = [0] * (4 * poset.n)
+        for step in zip(walk, walk[1:]):
+            hit = steps.get(step)
+            if hit is None:
+                raise PreconditionError("walk steps must join comparable elements")
+            s, t = hit
+            counts[s] += 1
+            counts[t] += 1
+        fours = iter(counts)
+        rows.append(tuple(map(_count_stats, zip(fours, fours, fours, fours))))
+    return rows
+
+
+def count_stats_row(poset, theta, walk):
+    """The four step counts at every element along one walk: count_stats_rows
+    of the one walk."""
+    return count_stats_rows(poset, theta, (walk,))[0]
 
 
 def count_stats(poset, theta, walk, z):
@@ -371,7 +403,7 @@ def _inducing_maps(poset, fixed):
 def proper_witness(poset, theta):
     """The first poset map, in poset_maps order, inducing theta, or None: at
     n >= 2 every element lies on a strict pair, so theta fixes all of a map."""
-    if sorted(theta.perm) != list(range(len(poset.strict_pairs))):
+    if not _permutes_pairs(poset, theta):
         return None  # not a permutation of this poset's pairs
     return next(_inducing_maps(poset, dict(enumerate(theta.perm))), None)
 

@@ -5,6 +5,7 @@ Check results; the CLI and the test suite both run these.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from math import factorial
 from typing import NamedTuple
@@ -364,15 +365,6 @@ def _parity_of_chain(poset, n, chain):
     return "odd" if y - n == x else "even"
 
 
-def _stats_row(stats, poset, theta, walk):
-    """count_stats_row of theta on walk, kept in stats (one dict per theta)
-    so that each (theta, walk) reaches the oracle once."""
-    row = stats.get(walk)
-    if row is None:
-        row = stats[walk] = bij.count_stats_row(poset, theta, walk)
-    return row
-
-
 def properties_block():
     """The quantified invariants: chain intersections, identity invariances,
     run collapsing, and the crown parity criterion."""
@@ -380,7 +372,8 @@ def properties_block():
 
     # shared-pair and shared-element facts for inc/dec chain pairs; what a
     # pair of chains shares does not depend on theta, so it is counted once
-    # per poset and each theta sums it over its inc x dec chain pairs
+    # per poset, and summed over the inc x dec chain pairs once per distinct
+    # signature of directions, times the thetas that have it
     violations_pair = 0
     violations_elem = 0
     for name, poset in _small_suite(6):
@@ -399,56 +392,62 @@ def properties_block():
                     and not (x == c1[0] == c2[0] and y == c1[-1] == c2[-1])
                 )
                 elem_bad[c1, c2] = bool(shared - extremal)
+        signatures = Counter()
         for theta in bij.enumerate_M(poset):
             action = bij.chain_action(poset, theta)
-            inc = [c for c in chains if action[c][0] in (bij.Direction.INCREASING, bij.Direction.BOTH)]
-            dec = [c for c in chains if action[c][0] in (bij.Direction.DECREASING, bij.Direction.BOTH)]
+            signatures[tuple(action[c][0] for c in chains)] += 1
+        for signature, count in signatures.items():
+            inc = [c for c, d in zip(chains, signature) if d in (bij.Direction.INCREASING, bij.Direction.BOTH)]
+            dec = [c for c, d in zip(chains, signature) if d in (bij.Direction.DECREASING, bij.Direction.BOTH)]
             for c1 in inc:
                 for c2 in dec:
-                    violations_pair += pair_bad[c1, c2]
-                    violations_elem += elem_bad[c1, c2]
+                    violations_pair += count * pair_bad[c1, c2]
+                    violations_elem += count * elem_bad[c1, c2]
     out.append(_check("incdec_shared_pair_is_span", violations_pair == 0))
     out.append(_check("incdec_shared_element_extremal", violations_elem == 0))
 
-    # cyclic shift and reversal invariance of the counting identity. chain:3
-    # serves both loops, with its thetas' stats tables; other tables go with
-    # their theta, and each walk's partners are formed once per poset
+    # cyclic shift and reversal invariance of the counting identity, on the
+    # first 24 thetas, and collapsing a monotone run, which preserves both
+    # signed differences, on every theta.  Each theta's rows come from one
+    # count_stats_rows batch over the distinct walks its checks name; a
+    # shifted or reversed walk is itself a closed semiwalk, and chain:3
+    # serves both checks
     chain3 = fam.chain(3)
-    shared = {chain3: {}}
-    shift_bad = 0
+    checks = {}  # poset -> [shift and reversal partners, run collapses]
     for poset in (fam.crown(2), chain3, fam.kmn(2, 3)):
-        partners = [
-            (walk, walk[1:-1] + walk[:2], walk[::-1])
-            for walk in pst.closed_semiwalks(poset, 5)
+        checks[poset] = [
+            [(walk, walk[1:-1] + walk[:2], walk[::-1]) for walk in pst.closed_semiwalks(poset, 5)],
+            [],
         ]
-        for theta in list(bij.enumerate_M(poset))[:24]:
-            stats = shared.get(poset, {}).setdefault(theta, {})
-            for walk, shifted, reverse in partners:
-                base = _stats_row(stats, poset, theta, walk)
-                shift_bad += base != _stats_row(stats, poset, theta, shifted)
-                # reversal swaps each + count with its - count
-                shift_bad += _stats_row(stats, poset, theta, reverse) != tuple(
-                    (sm, sp, tm, tp) for sp, sm, tp, tm in base
-                )
-    out.append(_check("identity_shift_reversal_invariance", shift_bad == 0))
-
-    # collapsing a monotone run preserves both signed differences
-    collapse_bad = 0
     for poset in (chain3, fam.chain(4), fam.example6()):
-        collapses = [
+        checks.setdefault(poset, [[], []])[1] = [
             (walk, walk[: k + 1] + walk[k + 2:])
             for walk in pst.closed_semiwalks(poset, 6)
             for k, (a, b, c) in enumerate(zip(walk, walk[1:], walk[2:]))
             if (poset.lt(a, b) and poset.lt(b, c)) or (poset.lt(c, b) and poset.lt(b, a))
         ]
-        for theta in bij.enumerate_M(poset):
-            stats = shared.get(poset, {}).setdefault(theta, {})
+    shift_bad = 0
+    collapse_bad = 0
+    for poset, (partners, collapses) in checks.items():
+        walks = list(dict.fromkeys(w for named in partners + collapses for w in named))
+        for k, theta in enumerate(bij.enumerate_M(poset)):
+            if k == 24:  # past the thetas the shift checks take
+                partners = []
+                walks = list(dict.fromkeys(w for named in collapses for w in named))
+            if not walks:
+                continue
+            rows = dict(zip(walks, bij.count_stats_rows(poset, theta, walks)))
+            for walk, shifted, reverse in partners:
+                base = rows[walk]
+                shift_bad += base != rows[shifted]
+                # reversal swaps each + count with its - count
+                shift_bad += rows[reverse] != tuple((sm, sp, tm, tp) for sp, sm, tp, tm in base)
             for walk, collapsed in collapses:
                 full, short = (
-                    [(sp - tp, sm - tm) for sp, sm, tp, tm in _stats_row(stats, poset, theta, w)]
-                    for w in (walk, collapsed)
+                    [(sp - tp, sm - tm) for sp, sm, tp, tm in rows[w]] for w in (walk, collapsed)
                 )
                 collapse_bad += full != short
+    out.append(_check("identity_shift_reversal_invariance", shift_bad == 0))
     out.append(_check("run_collapse_invariance", collapse_bad == 0))
 
     # parity criterion on the 3-crown; which chains meet does not depend on theta

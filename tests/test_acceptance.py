@@ -98,3 +98,30 @@ def test_harness_blocks_individually_green(name):
     """Every named harness block is runnable on its own and green."""
     results = suites.run_suite(name)
     assert all(c.ok for c in results)
+
+
+# checks per block, in run order: a rewrite of a block's loops that drops or
+# renames a check changes these
+BLOCK_SIZES = {
+    "crown-orders": 10,
+    "crown-dichotomy": 3,
+    "bipartite": 2,
+    "crownless": 5,
+    "example20": 6,
+    "example6": 4,
+    "oracle": 11,
+    "sigma": 11,
+    "supports": 11,
+    "algebra": 48,
+    "properties": 5,
+}
+
+
+def test_verify_all_has_a_fixed_shape():
+    """`verify all` runs 116 uniquely named checks, block by block."""
+    everything = suites.run_suite("all")
+    assert len(everything) == sum(BLOCK_SIZES.values()) == 116
+    assert len({c.name for c in everything}) == 116
+    blocks = {name: suites.run_suite(name) for name in suites.SUITES}
+    assert {name: len(checks) for name, checks in blocks.items()} == BLOCK_SIZES
+    assert [c.name for c in everything] == [c.name for name in suites.SUITES for c in blocks[name]]

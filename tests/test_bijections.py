@@ -2,6 +2,7 @@
 enumerators, and compatible sign maps."""
 
 import gc
+import itertools
 import random
 import weakref
 from fractions import Fraction
@@ -21,6 +22,7 @@ from posetlie import (
     closed_semiwalks,
     count_stats,
     count_stats_row,
+    count_stats_rows,
     decide_all_proper,
     edge_map_of,
     enumerate_AM,
@@ -179,6 +181,31 @@ class TestInM:
             else:
                 with pytest.raises(PreconditionError):
                     chain_action(poset, theta)
+
+
+@pytest.mark.parametrize(
+    "poset",
+    [chain(1), chain(2), crown(2), crown(3), crown(4), fence(4), fence(5), fence(6)],
+    ids=["chain1", "chain2", "crown2", "crown3", "crown4", "fence4", "fence5", "fence6"],
+)
+def test_chain_action_matches_literal_search_on_short_chains(poset):
+    # chain:1 has one chain and no pair, chain:2 one chain of one pair, and
+    # the crowns and fences only two-element chains, so every permutation is
+    # in M; each is gathered as a tuple of one image, or of none
+    rng = random.Random(47)
+    size = len(poset.strict_pairs)
+    if size <= 6:
+        thetas = [EdgeBijection(perm) for perm in itertools.permutations(range(size))]
+    else:
+        thetas = [EdgeBijection(tuple(rng.sample(range(size), size))) for _ in range(200)]
+    for theta in thetas:
+        assert brute_monotone(poset, theta)
+        assert in_M(poset, theta)
+        assert chain_action(poset, theta) == brute_image_chains(poset, theta)
+    for perm in ((0,) * (size + 1), tuple(range(size + 1))):
+        assert not in_M(poset, EdgeBijection(perm))
+        with pytest.raises(PreconditionError, match="not a permutation of the strict pairs"):
+            chain_action(poset, EdgeBijection(perm))
 
 
 def test_compose_rejects_a_degree_mismatch():
@@ -346,6 +373,74 @@ class TestCountStats:
                     assert count_stats_row(poset, theta, walk) == tuple(
                         literal_count_stats(poset, theta, walk, z) for z in range(poset.n)
                     )
+
+
+class TestCountStatsRows:
+    """count_stats_rows against count_stats_row, one walk at a time, and the
+    literal witness search at every element."""
+
+    @staticmethod
+    def _cases():
+        # every named family and 12 seeded random posets, each with the
+        # identity and two random permutations; up to 40 closed semiwalks of
+        # mixed lengths 2..5, with the first repeated at the end
+        rng = random.Random(29)
+        posets = [poset for _, poset in suite()]
+        posets += [random_connected_poset(rng, rng.randint(4, 6)) for _ in range(12)]
+        for poset in posets:
+            walks = closed_semiwalks(poset, 5)
+            walks = rng.sample(walks, min(40, len(walks)))
+            walks.append(walks[0])
+            size = len(poset.strict_pairs)
+            thetas = [identity_on(poset)] + [
+                EdgeBijection(tuple(rng.sample(range(size), size))) for _ in range(2)
+            ]
+            for theta in thetas:
+                yield poset, theta, walks
+
+    def test_rows_match_one_walk_at_a_time_and_literal(self):
+        for poset, theta, walks in self._cases():
+            assert len({len(w) for w in walks}) > 1  # every poset has 2- and 4-step walks
+            rows = count_stats_rows(poset, theta, walks)
+            assert len(rows) == len(walks)
+            assert rows[-1] == rows[0]
+            for walk, row in zip(walks, rows):
+                assert row == count_stats_row(poset, theta, walk)
+                assert row == tuple(
+                    literal_count_stats(poset, theta, walk, z) for z in range(poset.n)
+                )
+
+    def test_empty_batch(self):
+        for _, poset in suite():
+            assert count_stats_rows(poset, identity_on(poset), []) == []
+            assert count_stats_rows(poset, identity_on(poset), iter(())) == []
+
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_bad_walk_raises_wherever_it_sits(self, where):
+        p = crown(2)
+        x1, x2, y1 = p.index("x1"), p.index("x2"), p.index("y1")
+        good = list(closed_semiwalks(p, 4)[:4])
+        for bad, message in (
+            ((x1, y1, x2), "^walk must be closed$"),
+            ((), "^walk must be closed$"),
+            ((x1, x2, x1), "^walk steps must join comparable elements$"),
+            ((x1, y1, y1, x1), "^walk steps must join comparable elements$"),
+        ):
+            walks = good[:where] + [bad] + good[where:]
+            with pytest.raises(PreconditionError, match=message):
+                count_stats_rows(p, identity_on(p), walks)
+
+    def test_non_permutation_raises_before_any_walk_is_read(self):
+        def unread():
+            raise AssertionError("a walk was read")
+            yield
+
+        p = chain(3)
+        for perm in ((0, 1), (0, 0, 0), (0, 1, 3)):
+            with pytest.raises(
+                PreconditionError, match="^bijection is not a permutation of the strict pairs$"
+            ):
+                count_stats_rows(p, EdgeBijection(perm), unread())
 
 
 def _up_to_sign(vectors):

@@ -177,7 +177,7 @@ def test_fence_monotone_group_is_symmetric_group():
     assert count == 24
 
 
-# -- the properties block and its count_stats_row oracle -------------------------
+# -- the properties block and its count_stats_rows oracle ------------------------
 
 
 def _monotone_runs(poset, walk):
@@ -214,12 +214,18 @@ def _literal_block_inputs():
 
 
 def _properties_with(monkeypatch, fake):
-    """Run the properties block with bijections.count_stats_row replaced by
-    fake(real, poset, theta, walk); returns its checks by name."""
-    real = bijections.count_stats_row
+    """Run the properties block with bijections.count_stats_rows replaced by
+    one answering each walk of a batch with fake(real, poset, theta, walk),
+    where real(poset, theta, walk) is the true row; returns its checks by
+    name."""
+    real_rows = bijections.count_stats_rows
+
+    def real(poset, theta, walk):
+        return real_rows(poset, theta, (walk,))[0]
+
     monkeypatch.setattr(
-        bijections, "count_stats_row",
-        lambda poset, theta, walk: fake(real, poset, theta, walk),
+        bijections, "count_stats_rows",
+        lambda poset, theta, walks: [fake(real, poset, theta, walk) for walk in walks],
     )
     return {c.name: c.ok for c in suites.properties_block()}
 
@@ -227,21 +233,28 @@ def _properties_with(monkeypatch, fake):
 def test_properties_block_asks_the_oracle_each_input_once(monkeypatch):
     posets = {}  # id -> (number, poset); holding the poset keeps its id unique
     calls = []
+    batches = []
+    real_rows = bijections.count_stats_rows
 
-    def record(real, poset, theta, walk):
+    def record(poset, theta, walks):
         number = posets.setdefault(id(poset), (len(posets), poset))[0]
-        calls.append((number, theta.perm, walk))
-        return real(poset, theta, walk)
+        batches.append((number, theta.perm))
+        calls.extend((number, theta.perm, walk) for walk in walks)
+        return real_rows(poset, theta, walks)
 
-    checks = _properties_with(monkeypatch, record)
+    monkeypatch.setattr(bijections, "count_stats_rows", record)
+    checks = {c.name: c.ok for c in suites.properties_block()}
     assert all(checks.values())
     literal = _literal_block_inputs()
     assert len(literal) == 32172
-    # one row per (poset, theta, walk) covers every z the literal loops ask
+    # one row per (poset, theta, walk) covers every z the literal loops ask,
+    # and each (poset, theta) asks for its rows in one batch
     expected = {(number, perm, walk) for number, perm, walk, _ in literal}
     assert len(expected) == 6656
     assert set(calls) == expected
     assert len(calls) == len(expected)
+    assert set(batches) == {(number, perm) for number, perm, _ in expected}
+    assert len(batches) == len(set(batches))
 
 
 def test_properties_block_sees_a_start_dependent_oracle(monkeypatch):
@@ -251,8 +264,9 @@ def test_properties_block_sees_a_start_dependent_oracle(monkeypatch):
         )
 
     checks = _properties_with(monkeypatch, by_start)
-    assert not checks["identity_shift_reversal_invariance"]
-    assert checks["run_collapse_invariance"]
+    assert {name for name, ok in checks.items() if not ok} == {
+        "identity_shift_reversal_invariance"
+    }
 
 
 def test_properties_block_sees_an_oracle_that_skips_a_run_step(monkeypatch):
@@ -279,4 +293,25 @@ def test_properties_block_sees_an_oracle_that_skips_a_run_step(monkeypatch):
         return tuple(row)
 
     checks = _properties_with(monkeypatch, skip_middle)
-    assert not checks["run_collapse_invariance"]
+    # which step is skipped depends on where the walk starts, so the shift
+    # check sees the fake too; the checks that read no counts do not
+    assert {name for name, ok in checks.items() if not ok} == {
+        "identity_shift_reversal_invariance",
+        "run_collapse_invariance",
+    }
+
+
+def test_incdec_section_reads_each_thetas_directions(monkeypatch):
+    # a chain_action reporting BOTH everywhere makes every chain both an
+    # increasing and a decreasing one, and a chain of three or more elements
+    # shares a non-spanning pair and a middle element with itself
+    real = bijections.chain_action
+    monkeypatch.setattr(
+        bijections, "chain_action",
+        lambda poset, theta: {
+            c: (Direction.BOTH, image) for c, (_, image) in real(poset, theta).items()
+        },
+    )
+    checks = {c.name: c.ok for c in suites.properties_block()}
+    assert not checks["incdec_shared_pair_is_span"]
+    assert not checks["incdec_shared_element_extremal"]
