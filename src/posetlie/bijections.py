@@ -143,8 +143,12 @@ def _build_chain_gather(poset):
 
 
 def _permutes_pairs(poset, theta):
-    """Whether theta's perm is a permutation of the strict-pair indices."""
-    return sorted(theta.perm) == list(range(len(poset.strict_pairs)))
+    """Whether theta's perm is a permutation of the strict-pair indices.
+    Its entries must be ints: sorted((0.0, 1, 2)) == [0, 1, 2]."""
+    try:
+        return sorted(map(operator.index, theta.perm)) == list(range(len(poset.strict_pairs)))
+    except TypeError:  # an entry that is not an int, or a perm that is not iterable
+        return False
 
 
 def _check_permutation(poset, theta):

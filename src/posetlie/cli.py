@@ -280,9 +280,23 @@ def build_parser():
     return parser
 
 
+_parser = None  # main's parser, built by its first call
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code; a usage error raises
+    SystemExit(2) and --help SystemExit(0), as argparse does.
+
+    The parser is built on the first call and reused by every later one in
+    the process: a parse keeps nothing on the parser, and help is wrapped to
+    COLUMNS as read when it is printed.  So the handlers are bound once too:
+    a cmd_* function replaced after the first call is not the one called.
+    build_parser() still returns a fresh parser for other callers.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         code = args.handler(args)
         print(end="", flush=True)  # a closed pipe raises here, not at exit

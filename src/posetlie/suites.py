@@ -365,6 +365,13 @@ def _parity_of_chain(poset, n, chain):
     return "odd" if y - n == x else "even"
 
 
+def _run_starts(poset, walk):
+    """The k where walk's steps k and k + 1 go the same way, up or down: a
+    step joins comparable elements, so one Poset.lt per step tells which."""
+    up = [poset.lt(a, b) for a, b in zip(walk, walk[1:])]
+    return [k for k, (first, second) in enumerate(zip(up, up[1:])) if first == second]
+
+
 def properties_block():
     """The quantified invariants: chain intersections, identity invariances,
     run collapsing, and the crown parity criterion."""
@@ -423,8 +430,7 @@ def properties_block():
         checks.setdefault(poset, [[], []])[1] = [
             (walk, walk[: k + 1] + walk[k + 2:])
             for walk in pst.closed_semiwalks(poset, 6)
-            for k, (a, b, c) in enumerate(zip(walk, walk[1:], walk[2:]))
-            if (poset.lt(a, b) and poset.lt(b, c)) or (poset.lt(c, b) and poset.lt(b, a))
+            for k in _run_starts(poset, walk)
         ]
     shift_bad = 0
     collapse_bad = 0

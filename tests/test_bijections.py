@@ -218,11 +218,12 @@ def test_compose_rejects_a_degree_mismatch():
     assert long.compose(EdgeBijection((1, 2, 0))) == EdgeBijection((1, 2, 0))
 
 
-@pytest.mark.parametrize("perm", [(0, 0, 0, 0), (0, 1, 2, 3, 4), (0, 1, 2)])
+@pytest.mark.parametrize("perm", [(0, 0, 0, 0), (0, 1, 2, 3, 4), (0, 1, 2), (0.0, 1, 2, 3)])
 def test_operations_on_M_reject_non_permutations(perm):
-    # crown:2 has |B| = 4: a repeated image, a bijection of degree 5 and one
-    # of degree 3 are none of them in M, and no operation defined on M
-    # answers for them or fails with another error
+    # crown:2 has |B| = 4: a repeated image, a bijection of degree 5, one of
+    # degree 3 and one holding a float equal to an index are none of them in
+    # M, and no operation defined on M answers for them or fails with
+    # another error
     poset = crown(2)
     theta = EdgeBijection(perm)
     assert not in_M(poset, theta)
@@ -275,9 +276,10 @@ class TestCountStats:
                 count_stats(p, identity_on(p), (0, 1, 0), z)
 
     def test_non_permutation_rejected(self):
-        # a short perm or one that repeats a pair is not a bijection of B
+        # a short perm, one that repeats a pair or one holding a float is
+        # not a bijection of B
         p = chain(3)
-        for perm in ((0, 1), (0, 0, 0), (0, 1, 3)):
+        for perm in ((0, 1), (0, 0, 0), (0, 1, 3), (0.0, 1, 2)):
             for stats in (
                 lambda theta: count_stats(p, theta, (0, 1, 0), 0),
                 lambda theta: count_stats_row(p, theta, (0, 1, 0)),
@@ -436,7 +438,7 @@ class TestCountStatsRows:
             yield
 
         p = chain(3)
-        for perm in ((0, 1), (0, 0, 0), (0, 1, 3)):
+        for perm in ((0, 1), (0, 0, 0), (0, 1, 3), (0.0, 1, 2)):
             with pytest.raises(
                 PreconditionError, match="^bijection is not a permutation of the strict pairs$"
             ):
@@ -587,9 +589,13 @@ class TestProperWitness:
         assert proper_witness(poset, theta) is None
 
     def test_a_non_permutation_of_the_pairs_has_no_witness(self):
-        # crown:3 has six pairs: too few, too many, a repeat, one out of range
+        # crown:3 has six pairs: too few, too many, a repeat, one out of
+        # range, a float equal to an index
         p = crown(3)
-        for perm in [(0, 1, 2, 3, 4), tuple(range(7)), (0, 0, 2, 3, 4, 5), (0, 1, 2, 3, 4, 9)]:
+        for perm in [
+            (0, 1, 2, 3, 4), tuple(range(7)), (0, 0, 2, 3, 4, 5), (0, 1, 2, 3, 4, 9),
+            (0.0, 1, 2, 3, 4, 5),
+        ]:
             assert proper_witness(p, EdgeBijection(perm)) is None
 
     def test_witness_is_first_inducing_map(self):

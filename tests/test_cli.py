@@ -10,7 +10,7 @@ from math import factorial
 import pytest
 
 import posetlie
-from posetlie.cli import main
+from posetlie.cli import build_parser, main
 
 POSET_FILE = """\
 poset v1
@@ -357,3 +357,64 @@ def test_flags_a_subcommand_does_not_read_are_unrecognized(capsys, argv):
         main(argv)
     assert exit_info.value.code == 2
     assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+
+
+def run_in_process(capsys, argv):
+    """main's exit code, or argparse's SystemExit code, and its output."""
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_repeated_main_calls_behave_like_fresh_processes(capsys, monkeypatch):
+    # main builds its parser once per process: a usage error or --help on
+    # one call leaves nothing that changes a later call's output
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(posetlie.__file__)))
+    first = ["decide", "--family", "example:6", "--format", "json"]
+    calls = [
+        (first, 0),
+        (["decide", "--bound", "-1"], 2),
+        (["decide", "--family", "crown:3", "--file", "/nonexistent"], 2),
+        (["--help"], 0),
+        (["decide", "--family", "moon:1"], 2),
+        (["enumerate", "am", "--family", "crown:3", "--bound", "5"], 3),
+        (first, 0),
+    ]
+    fresh = {}
+    for argv, code in calls:
+        key = tuple(argv)
+        if key not in fresh:
+            proc = subprocess.run(
+                [sys.executable, "-m", "posetlie.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            fresh[key] = (proc.returncode, proc.stdout, proc.stderr)
+        assert fresh[key][0] == code
+        assert run_in_process(capsys, argv) == fresh[key]
+
+
+def test_help_width_follows_columns_on_every_call(capsys, monkeypatch):
+    texts = []
+    for columns in ("40", "200", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, err = run_in_process(capsys, ["--help"])
+        assert (code, err) == (0, "")
+        assert out == build_parser().format_help()
+        texts.append(out)
+    assert texts[0] != texts[1] and texts[0] == texts[2]
+
+
+def test_build_parser_returns_a_parser_main_does_not_share(capsys):
+    assert run(capsys, "info", "--family", "chain:2")[0] == 0  # main's parser is built
+    parser = build_parser()
+    assert parser is not build_parser()
+    parser.add_argument("--jobs")
+    assert parser.parse_args(["--jobs", "2", "info"]).jobs == "2"
+    # main's parser has no --jobs, so it reads "2" as the command
+    code, out, err = run_in_process(capsys, ["--jobs", "2", "info", "--family", "chain:2"])
+    assert (code, out) == (2, "")
+    assert "invalid choice: '2'" in err
