@@ -146,11 +146,6 @@ class IncidenceElement:
             self.field,
         )
 
-    def to_vector(self):
-        """Dense coefficients over the sorted basis of comparable pairs."""
-        zero = self.field.zero
-        return [self.coeffs.get(pair, zero) for pair in self.poset.all_pairs]
-
     def to_json(self):
         return {
             "pairs": [
@@ -541,6 +536,8 @@ def check_proper_decomposition(tau, phi):
             "phi is neither an automorphism nor the negative of an anti-automorphism"
         )
     poset, field = tau.poset, tau.field
+    if phi.columns == tau.columns:
+        return LinearMapOnIA.zero(poset, field)  # nu = 0: central, and kills every commutator
     nu = tau - phi
     center_basis, center_pivots = _center_span(poset, field)
     for pair, col in zip(poset.all_pairs, nu.columns):

@@ -18,12 +18,15 @@ import functools
 import itertools
 import math
 import operator
+import sys
+from array import array
 from collections.abc import Sequence
 from typing import NamedTuple
 
 from .errors import PreconditionError, WellDefinednessError
 from .fields import RATIONALS
-from .poset import MapKind, Poset, PosetMap, check_semiwalk_bound, isomorphisms, weak_crowns
+from .poset import MapKind, Poset, PosetMap, _alternating_cycles, check_semiwalk_bound, isomorphisms
+from .poset import weak_crowns  # noqa: F401  (unused here; code may look it up on this module)
 
 
 class Direction(enum.Enum):
@@ -254,23 +257,64 @@ def count_stats(poset, theta, walk, z):
     return count_stats_row(poset, theta, walk)[z]
 
 
+class _PackedSteps(NamedTuple):
+    """count net step vectors, packed into one int per strict pair: digit k
+    of columns[b], width bytes wide and signed, is vector k's count on b."""
+
+    count: int
+    width: int
+    columns: tuple[int, ...]
+
+
+def _pack_steps(count, bound, ups, downs):
+    """Pack count net step vectors, given for each pair b as the vectors
+    stepping up b (once per step) and those stepping down it.  A digit takes
+    the fewest whole bytes w, those of an array typecode, with bound <
+    2 ** (8w - 1), where no vector's total |count| passes bound.  Then the
+    digits of a sum of columns of distinct pairs stay under 2 ** (8w - 1)
+    too, so the sum is zero iff every digit is: each vector is still checked
+    on its own."""
+    code = next(c for c in "BHILQ" if bound < 1 << 8 * array(c).itemsize - 1)
+    width = array(code).itemsize
+    zeros = bytes(count * width)
+
+    def column(steps):
+        digits = array(code, zeros)
+        for k in steps:
+            digits[k] += 1
+        if sys.byteorder == "big":
+            digits.byteswap()
+        return int.from_bytes(digits, "little")
+
+    return _PackedSteps(count, width, tuple(map(operator.sub, map(column, ups), map(column, downs))))
+
+
 def _build_crown_steps(poset):
-    """The net step vector of each weak crown x1 < y1 > x2 < ... > x1, in
-    step order: +1 on (x_i, y_i), -1 on (x_{i+1}, y_i).  The crowns are
-    distinct simple cycles, so their vectors are distinct up to sign."""
+    """The net step vectors of the weak crowns, in the order the search meets
+    them: crown x1 < y1 > x2 < ... > x1 is +1 on (x_i, y_i) and -1 on
+    (x_{i+1}, y_i).  No crown is kept; each pair records the crowns that step
+    up or down it.  A crown has 2k <= n steps, each on its own pair."""
     index = poset.pair_index
-    return tuple(
-        tuple(
-            step
-            for x, y, z in zip(c.mins, c.maxs, c.mins[1:] + c.mins[:1])
-            for step in ((index[x, y], 1), (index[z, y], -1))
-        )
-        for c in weak_crowns(poset)
-    )
+    under = [[index.get((x, y)) for x in range(poset.n)] for y in range(poset.n)]
+    ups = [[] for _ in poset.strict_pairs]
+    downs = [[] for _ in poset.strict_pairs]
+    count = 0
+
+    def record(mins, maxs):
+        nonlocal count
+        k = count
+        for x, y, z in zip(mins, maxs, mins[1:] + mins[:1]):
+            pair_to = under[y]  # the index of (w, y), by w
+            ups[pair_to[x]].append(k)
+            downs[pair_to[z]].append(k)
+        count = k + 1
+
+    _alternating_cycles(poset, record)
+    return _pack_steps(count, poset.n, ups, downs)
 
 
 def _crown_steps(poset):
-    return poset.memo("weak_crowns", _build_crown_steps)
+    return poset.memo("crown_steps", _build_crown_steps)
 
 
 def _sweep_semiwalks(poset, max_length):
@@ -282,7 +326,8 @@ def _sweep_semiwalks(poset, max_length):
     extensions, so it is extended once, at its first round, and dropped where
     its element is farther from s than the steps left.  A vector is one int,
     a digit of `width` bits per pair, each offset by half: `zero` is the zero
-    vector and 2 * zero - net its negation."""
+    vector and 2 * zero - net its negation.  A walk's vector has total
+    |count| at most its length."""
     size, width = len(poset.strict_pairs), max_length.bit_length() + 1
     half, mask = 1 << width - 1, (1 << width) - 1
     zero = sum(half << width * b for b in range(size))
@@ -307,10 +352,12 @@ def _sweep_semiwalks(poset, max_length):
             } - seen
             seen |= frontier
             found.update(min(net, 2 * zero - net) for v, net in frontier if v == s and net != zero)
-    return tuple(
-        tuple((b, c) for b in range(size) if (c := (net >> width * b & mask) - half))
-        for net in sorted(found)
-    )
+    ups, downs = [[] for _ in range(size)], [[] for _ in range(size)]
+    for k, net in enumerate(sorted(found)):
+        for b in range(size):
+            c = (net >> width * b & mask) - half
+            (ups if c > 0 else downs)[b].extend([k] * abs(c))
+    return _pack_steps(len(found), max_length, ups, downs)
 
 
 def _semiwalk_steps(poset, max_length):
@@ -318,22 +365,31 @@ def _semiwalk_steps(poset, max_length):
     return poset.memo(("semiwalk_steps", max_length), _sweep_semiwalks, max_length)
 
 
-def _balanced_on_steps(poset, inverse_perm, steps_lists):
-    """Check s+ - s- = t+ - t- at every element, for each net step vector.
+def _build_ends(poset):
+    """For each element z, the strict pairs leaving it, (z, w), and those
+    entering it, (w, z), as index tuples."""
+    index = poset.pair_index
+    return tuple(
+        (tuple(index[z, w] for w in poset.above[z]), tuple(index[w, z] for w in poset.below[z]))
+        for z in range(poset.n)
+    )
 
-    A pair b taken with net count c, whose preimage under theta is (p, q),
-    contributes c to (s+ - s-) at p and c to (t+ - t-) at q, so the
-    identity holds iff the counted difference (delta_p - delta_q) sums to
-    zero over the vector.
+
+def _balanced_on_steps(poset, perm, packed):
+    """Check s+ - s- = t+ - t- at every element, for every packed net step
+    vector at once.
+
+    A walk taking pair b = theta(a) with net count c adds c to (s+ - s-) at
+    a's low end and c to (t+ - t-) at its high end.  So the identity holds
+    at z iff the counts on the images of the pairs leaving z sum to those on
+    the images of the pairs entering it: two sums of packed columns, equal
+    iff they agree in every vector's digit.
     """
-    pairs = poset.strict_pairs
-    for steps in steps_lists:
-        acc = [0] * poset.n
-        for b, count in steps:
-            p, q = pairs[inverse_perm[b]]
-            acc[p] += count
-            acc[q] -= count
-        if any(acc):
+    if not packed.count:
+        return True
+    column, image = packed.columns.__getitem__, perm.__getitem__
+    for leaving, entering in poset.memo("ends", _build_ends):
+        if sum(map(column, map(image, leaving))) != sum(map(column, map(image, entering))):
             return False
     return True
 
@@ -357,13 +413,14 @@ def is_admissible(poset, theta):
 def satisfies_crown_criterion(poset, theta):
     """The paper's criterion: the counting identity on every weak crown.
 
-    A cross-check of is_admissible; it lists every weak crown, so it is only
-    used by the tests and the verification harness.  Canonical crown
-    representatives suffice: the identity is invariant under cyclic shifts
-    and orientation reversal of the cycle.
+    A cross-check of is_admissible, used by the tests and the verification
+    harness.  The weak-crown search streams each crown into one packed
+    column per strict pair, and every crown is checked in one pass over the
+    elements.  Canonical crown representatives suffice: the identity is
+    invariant under cyclic shifts and orientation reversal of the cycle.
     """
     chain_action(poset, theta)
-    return _balanced_on_steps(poset, theta.inverse().perm, _crown_steps(poset))
+    return _balanced_on_steps(poset, theta.perm, _crown_steps(poset))
 
 
 def is_admissible_oracle(poset, theta, max_length):
@@ -373,9 +430,7 @@ def is_admissible_oracle(poset, theta, max_length):
     the basis or the crowns.
     """
     chain_action(poset, theta)
-    return _balanced_on_steps(
-        poset, theta.inverse().perm, _semiwalk_steps(poset, max_length)
-    )
+    return _balanced_on_steps(poset, theta.perm, _semiwalk_steps(poset, max_length))
 
 
 # -- properness ----------------------------------------------------------------

@@ -327,12 +327,11 @@ def parse_poset(text):
 # -- chains, crowns, semiwalks ----------------------------------------------
 
 
-def weak_crowns(poset):
-    """Every weak crown of the poset, canonicalized, of every size k >= 2.
-
-    A weak crown is recorded as its alternating-cycle labeling; the same
-    2k-element subset can carry several inequivalent labelings and each is
-    returned once.
+def _alternating_cycles(poset, emit):
+    """Call emit(mins, maxs) once for each alternating cycle x1 < y1 > x2 <
+    y2 > ... > xk < yk > x1 of distinct elements, k >= 2, in the order the
+    search meets them; each is handed over in canonical form, as WeakCrown
+    stores it.
 
     The search generates each cycle once: from its least low x1, in the
     orientation whose first high is below its last (y1 < yk by index).
@@ -344,7 +343,6 @@ def weak_crowns(poset):
     above, below = poset.above, poset.below
     up = [sum(1 << j for j in row) for row in above]
     lows = [[x for x in range(a + 1, poset.n) if up[x]] for a in range(poset.n)]
-    found = []
 
     def closable(anchor, first, used):
         free = ~used
@@ -362,7 +360,13 @@ def weak_crowns(poset):
     def extend(mins, maxs, used):
         anchor, first, last = mins[0], maxs[0], maxs[-1]
         if len(maxs) >= 2 and last > first and up[anchor] >> last & 1:
-            found.append((mins, maxs))
+            # x1 leads either way; the reversal, (x1, xk, ..., x2) over
+            # (yk, ..., y1), is least when xk < x2, and at k = 2, where the
+            # lows tie, y1 < yk already makes the found orientation least
+            if mins[1] > mins[-1]:
+                emit(mins[:1] + mins[:0:-1], maxs[::-1])
+            else:
+                emit(mins, maxs)
         for x in below[last]:
             if x > anchor and not used >> x & 1:
                 reach = closable(anchor, first, used | 1 << x)
@@ -374,14 +378,18 @@ def weak_crowns(poset):
         for y1 in above[x1]:
             extend((x1,), (y1,), 1 << x1 | 1 << y1)
     del extend  # a self-recursive closure is a cycle: free it now
+
+
+def weak_crowns(poset):
+    """Every weak crown of the poset, canonicalized, of every size k >= 2.
+
+    A weak crown is recorded as its alternating-cycle labeling; the same
+    2k-element subset can carry several inequivalent labelings and each is
+    returned once.  The crowns are those of _alternating_cycles, sorted by
+    size, then lows, then highs.
+    """
     crowns = []
-    for mins, maxs in found:
-        # x1 leads either way; the reversal, (x1, xk, ..., x2) over
-        # (yk, ..., y1), is least when xk < x2, and at k = 2, where the lows
-        # tie, y1 < yk already makes the found orientation least
-        if mins[1] > mins[-1]:
-            mins, maxs = mins[:1] + mins[:0:-1], maxs[::-1]
-        crowns.append(WeakCrown(mins, maxs))
+    _alternating_cycles(poset, lambda mins, maxs: crowns.append(WeakCrown(mins, maxs)))
     return tuple(sorted(crowns, key=lambda c: (c.size, c.mins, c.maxs)))
 
 

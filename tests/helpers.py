@@ -167,7 +167,7 @@ def convolution_center(poset, field):
     dim = len(elements)
     rows = []
     for gen in elements:
-        images = [bracket(b, gen).to_vector() for b in elements]
+        images = [to_vector(bracket(b, gen)) for b in elements]
         for coord in range(dim):
             row = [images[i][coord] for i in range(dim)]
             if any(row):
@@ -436,6 +436,24 @@ def literal_net_steps(poset, walk):
     return tuple((b, count) for b, count in net.items() if count)
 
 
+def unpack_steps(packed):
+    """The net step vectors held in packed columns (count, width, columns),
+    one per vector in digit order, each as its nonzero (pair, count) steps
+    by pair.  Adding half a digit's range to every digit makes each digit
+    nonnegative, so the bytes of the shifted column read back each digit."""
+    count, width, columns = packed
+    half = 1 << 8 * width - 1
+    shift = int.from_bytes(half.to_bytes(width, "little") * count, "little")
+    vectors = [[] for _ in range(count)]
+    for b, column in enumerate(columns):
+        raw = (column + shift).to_bytes(count * width, "little")
+        for k in range(count):
+            digit = int.from_bytes(raw[k * width:(k + 1) * width], "little") - half
+            if digit:
+                vectors[k].append((b, digit))
+    return [tuple(v) for v in vectors]
+
+
 def brute_semiwalk_admissible(poset, theta, max_length):
     """The counting identity at every element on every raw closed semiwalk
     up to max_length, each walk counted by count_stats."""
@@ -484,11 +502,19 @@ def keeps_cycle_space(poset, theta, cycles=None):
     +count at the lower end and -count at the upper end of each pair, is
     zero.  Then theta keeps the cycle space, which is the counting identity
     on every closed semiwalk."""
+    walks = fundamental_cycles(poset) if cycles is None else cycles
+    return literal_balanced(poset, theta, [literal_net_steps(poset, w) for w in walks])
+
+
+def literal_balanced(poset, theta, vectors):
+    """Whether theta^-1 maps each net step vector, one at a time, to one
+    with zero boundary: a pair b taken c times, with theta^-1(b) = (p, q),
+    adds c at p and takes c from q, and every element sums to zero."""
     pairs = poset.strict_pairs
     inverse = {t: b for b, t in enumerate(theta.perm)}
-    for walk in fundamental_cycles(poset) if cycles is None else cycles:
+    for steps in vectors:
         boundary = [0] * poset.n
-        for b, count in literal_net_steps(poset, walk):
+        for b, count in steps:
             p, q = pairs[inverse[b]]
             boundary[p] += count
             boundary[q] -= count
@@ -652,6 +678,13 @@ def literal_cut_form(poset):
     return tuple(form)
 
 
+def to_vector(element):
+    """An incidence element's dense coefficients over the sorted basis of
+    comparable pairs."""
+    zero = element.field.zero
+    return [element.coeffs.get(pair, zero) for pair in element.poset.all_pairs]
+
+
 def dense_row_reduce(rows):
     """Reduced row-echelon (basis, pivots) of the span of rows, by Gauss-Jordan
     elimination that updates every entry of a row, zero or not."""
@@ -713,7 +746,7 @@ def literal_recognizers(mapping):
 
     poset, field = mapping.poset, mapping.field
     basis = [IncidenceElement.basis(poset, x, y, field) for x, y in poset.all_pairs]
-    if len(dense_row_reduce([c.to_vector() for c in mapping.columns])[0]) < len(basis):
+    if len(dense_row_reduce([to_vector(c) for c in mapping.columns])[0]) < len(basis):
         return False, False, False
     lie = auto = anti = True
     for a in basis:

@@ -43,6 +43,7 @@ from helpers import (
     literal_decomposition_error,
     literal_recognizers,
     random_element,
+    to_vector,
 )
 
 FIELDS = pytest.mark.parametrize(
@@ -536,7 +537,7 @@ def _singular_maps(base):
 
 
 def _dense_rank(mapping):
-    return len(dense_row_reduce([c.to_vector() for c in mapping.columns])[0])
+    return len(dense_row_reduce([to_vector(c) for c in mapping.columns])[0])
 
 
 @FIELDS
@@ -568,9 +569,9 @@ def test_recognizers_match_the_literal_definitions(field):
 
 @FIELDS
 def test_decomposition_matches_the_literal_definitions(field):
-    # phi != tau: a central shift of phi (nu is the shift), two different
-    # proper maps (nu is not central), a shuffled tau (not Lie), a perturbed
-    # phi (no automorphism either way), and a singular tau or phi
+    # a central shift of phi (nu is the shift), two different proper maps
+    # (nu is not central), a shuffled tau (not Lie), a perturbed phi (no
+    # automorphism either way), a singular tau or phi, and phi = tau
     rng = random.Random(28)
     seen = set()
     for name, poset in suite():
@@ -579,6 +580,8 @@ def test_decomposition_matches_the_literal_definitions(field):
         # and (base, the next poset map's base)
         pairs = [(m[2], m[0]) for m in maps] + [(m[4], m[0]) for m in maps]
         pairs += [(m[0], m[3]) for m in maps] + [(a[0], b[0]) for a, b in zip(maps, maps[1:])]
+        # and phi = tau, which leaves the zero remainder
+        pairs += [(m[0], m[0]) for m in maps]
         # and (singular, base), (base, singular)
         singular = [(s, m[0]) for m in maps for s in _singular_maps(m[0])]
         for tau, phi in pairs + singular + [(phi, tau) for tau, phi in singular]:

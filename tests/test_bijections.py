@@ -41,7 +41,7 @@ from posetlie import (
     support_maps,
     weak_crowns,
 )
-from posetlie.bijections import _crown_steps, _semiwalk_steps
+from posetlie.bijections import _crown_steps, _pack_steps, _semiwalk_steps
 from posetlie.cli import _check_bound
 from posetlie.families import (
     chain,
@@ -54,6 +54,7 @@ from posetlie.families import (
     star,
     suite,
 )
+from posetlie.suites import _small_suite
 
 from helpers import (
     brute_image_chains,
@@ -61,12 +62,14 @@ from helpers import (
     brute_monotone,
     brute_semiwalk_admissible,
     fundamental_cycles,
+    literal_balanced,
     literal_count_stats,
     literal_edge_map,
     literal_net_steps,
     mixed_length_posets,
     non_monotone_cases,
     random_connected_poset,
+    unpack_steps,
 )
 
 
@@ -469,9 +472,12 @@ class TestNetSteps:
         # each crown's vector is read off its lows and highs; it must be the
         # literal vector of its cycle, and no two crowns may share one
         for poset, _ in _net_step_posets():
-            crowns = weak_crowns(poset)
-            assert list(_crown_steps(poset)) == [literal_net_steps(poset, c.cycle()) for c in crowns]
-            canon = _up_to_sign(_crown_steps(poset))
+            literal = [literal_net_steps(poset, c.cycle()) for c in weak_crowns(poset)]
+            unpacked = unpack_steps(_crown_steps(poset))
+            # the columns hold the crowns in search order, each in its
+            # canonical orientation, and its steps by pair
+            assert sorted(unpacked) == sorted(tuple(sorted(v)) for v in literal)
+            canon = _up_to_sign(unpacked)
             assert len(set(canon)) == len(canon)
 
     def test_semiwalk_sweep_matches_raw_listing(self):
@@ -481,7 +487,7 @@ class TestNetSteps:
             for bound in bounds:
                 vectors = [literal_net_steps(poset, w) for w in closed_semiwalks(poset, bound)]
                 raw = set(_up_to_sign(v for v in vectors if v))
-                swept = _up_to_sign(_semiwalk_steps(poset, bound))
+                swept = _up_to_sign(unpack_steps(_semiwalk_steps(poset, bound)))
                 assert len(set(swept)) == len(swept)
                 assert set(swept) == raw
 
@@ -490,10 +496,59 @@ class TestNetSteps:
         # 12; the sweep keeps states, not walks, and a longer bound keeps
         # every vector of a shorter one
         poset = chain(5)
-        assert set(_up_to_sign(_semiwalk_steps(poset, 6))) <= set(
-            _up_to_sign(_semiwalk_steps(poset, 12))
+        assert set(_up_to_sign(unpack_steps(_semiwalk_steps(poset, 6)))) <= set(
+            _up_to_sign(unpack_steps(_semiwalk_steps(poset, 12)))
         )
         assert is_admissible_oracle(poset, identity_on(poset), 12)
+
+
+class TestPackedCrownCriterion:
+    def test_matches_a_literal_check_per_crown(self):
+        # every crown checked at once on packed columns, against each
+        # crown's literal vector checked on its own
+        rng = random.Random(61)
+        poset20 = example20()
+        for poset, _ in _net_step_posets():
+            vectors = [literal_net_steps(poset, c.cycle()) for c in weak_crowns(poset)]
+            monotone = list(enumerate_M(poset))
+            thetas = [identity_on(poset)]
+            thetas += monotone if len(monotone) <= 200 else rng.sample(monotone, 200)
+            if poset == poset20:
+                thetas.append(example20_bijection(poset))
+            verdicts = set()
+            for theta in thetas:
+                verdict = satisfies_crown_criterion(poset, theta)
+                assert verdict == literal_balanced(poset, theta, vectors)
+                verdicts.add(verdict)
+            if poset == poset20:
+                assert verdicts == {True, False}
+
+    def test_checks_every_weak_crown(self):
+        assert _crown_steps(example20()).count == len(weak_crowns(example20())) == 4067
+        total = 0
+        for _, poset in _small_suite(6):
+            assert _crown_steps(poset).count == len(weak_crowns(poset))
+            total += len(weak_crowns(poset))
+        # the posets verify checks the criterion on
+        assert total + 4067 == 4073
+
+    def test_digits_widen_past_a_byte(self):
+        # a vector may step over one pair up to `bound` times; its digit
+        # keeps its sign and leaves the next vector's alone
+        ups, downs = [[0] * 150 + [1], []], [[], [0] * 3 + [1] * 150]
+        assert _pack_steps(2, 127, [[0], []], [[], [1]]).width == 1
+        packed = _pack_steps(2, 153, ups, downs)
+        assert packed.width == 2
+        assert unpack_steps(packed) == [((0, 150), (1, -3)), ((0, 1), (1, -150))]
+
+    def test_kmn_6x6_frontier(self):
+        # 113,865 crowns, streamed into 36 packed columns
+        poset = kmn(6, 6)
+        swap = list(range(len(poset.strict_pairs)))
+        swap[0], swap[1] = swap[1], swap[0]
+        assert satisfies_crown_criterion(poset, identity_on(poset))
+        assert not satisfies_crown_criterion(poset, EdgeBijection(tuple(swap)))
+        assert _crown_steps(poset).count == 113865
 
 
 class TestAdmissibility:
@@ -538,7 +593,7 @@ class TestAdmissibility:
         assert not is_admissible_oracle(p, theta, 4)
         assert not brute_semiwalk_admissible(p, theta, 4)
         # a reduction that dropped every walk would pass any bijection
-        assert _semiwalk_steps(chain(3), 8)
+        assert _semiwalk_steps(chain(3), 8).count
 
     def test_trees_accept_every_bijection(self):
         import itertools
@@ -831,9 +886,7 @@ def test_crown_balance_agrees_with_literal_counting():
             )
             from posetlie.bijections import _balanced_on_steps, _crown_steps
 
-            fast = _balanced_on_steps(
-                poset, theta.inverse().perm, _crown_steps(poset)
-            )
+            fast = _balanced_on_steps(poset, theta.perm, _crown_steps(poset))
             assert fast == literal
 
 
@@ -854,6 +907,7 @@ def test_searches_leave_no_reference_cycles():
                 poset_maps(poset),
                 closed_semiwalks(poset, 4),
                 weak_crowns(poset),
+                satisfies_crown_criterion(poset, identity_on(poset)),
             )
             del poset, results
             assert ref() is None
